@@ -4,11 +4,11 @@ interacting chains coupled through a random directed graph."""
 from .estimators import (MomentEstimates, default_delta, estimate_all,
                          spatial_variance, spatio_temporal_mean,
                          temporal_variance, w_delta)
-from .forward import default_burnin, simulate, step, zero_state
+from .forward import default_burnin, simulate, zero_state
 from .inversion import (InversionResult, LimitTriple, NonInvertibleError,
                         denominator, forward_map, forward_map_values, invert,
-                        invert_triple, inverse_map, kappa, phi1, phi2,
-                        root_d, select_branch)
+                        invert_triple, inverse_map, kappa, phi1, root_d,
+                        select_branch)
 from .limits import (EnvironmentSolution, TheoreticalLimits,
                      environment_solution, limit_inversion, limits, solve_c,
                      solve_c_dense, solve_m, solve_m_dense)

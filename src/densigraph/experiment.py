@@ -83,8 +83,14 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot vary {self.vary_name!r}")
             if not self.vary_values:
                 raise ConfigError("vary is set but vary_values is empty")
+            if len(set(self.vary_values)) != len(self.vary_values):
+                raise ConfigError("vary_values must not repeat a value")
+            if self.vary_name == "n" and not all(
+                    float(v).is_integer() for v in self.vary_values):
+                raise ConfigError("vary = n needs integer vary_values")
         try:
-            self.params_for(None if self.vary_name is None else self.vary_values[0])
+            for value in (self.vary_values if self.vary_name else (None,)):
+                self.params_for(value)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"invalid model parameters: {exc}") from exc
 
@@ -228,7 +234,7 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
     lim = inv_inf = None
     if config.compute_limits:
         lim = limits(env, params)
-        inv_inf = limit_inversion(env, params)
+        inv_inf = limit_inversion(lim, params.r_plus)
 
     rows = []
     for t_len in config.t_grid:
@@ -253,7 +259,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_replica_task, [(config, vi, r) for vi, r in tasks],
-                                   chunksize=8))
+                                   chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         chunks = [_replica_rows(config, vi, r) for vi, r in tasks]
     rows = [row for chunk in chunks for row in chunk]

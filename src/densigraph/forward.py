@@ -1,8 +1,8 @@
 """Forward simulation of the conditional Markov chain.
 
-One step updates every site independently: site i fires with probability
-``transition_probabilities(env, params, x)[i]``, consuming n consecutive
-uniforms from the stream in site order.  `simulate` iterates this from an
+Each step of `simulate` updates every site independently: site i fires with
+probability ``transition_probabilities(env, params, x)[i]``, consuming n
+consecutive uniforms from the stream in site order.  The chain starts from an
 arbitrary initial configuration, optionally discarding a burn-in prefix.
 """
 
@@ -14,14 +14,6 @@ import numpy as np
 
 from .model import Environment, ModelParams, Trajectory, interaction_kernel
 from .rng import Stream, derive_key
-
-
-def step(env: Environment, params: ModelParams, x, stream: Stream) -> np.ndarray:
-    """Advance the configuration by one time unit, drawing n uniforms."""
-    base, signed, coef = interaction_kernel(env, params)
-    probs = base + coef * (signed @ np.asarray(x, dtype=np.float64))
-    u = stream.uniforms(env.n)
-    return (u < probs).astype(np.uint8)
 
 
 def default_burnin(lam: float, tail: float = 1e-6) -> int:

@@ -14,9 +14,9 @@ Inverting: D is a root of the quadratic
     kappa = (r_plus - r_minus)^2 w / (m (1-m)),
 
 with two explicit candidate roots (branches "plus" / "minus").  From the
-selected root one recovers ((1-lam) p)^2 (`phi1`), then 1/p (`phi2`), then
-(mu, lam, p).  The "minus" branch is provably correct when r_plus >= 1/2 or
-kappa >= 4 r_plus r_minus; otherwise both branches are candidates.
+selected root one recovers ((1-lam) p)^2 (`phi1`), then 1/p and (mu, lam, p)
+(`inverse_map`).  The "minus" branch is provably correct when r_plus >= 1/2
+or kappa >= 4 r_plus r_minus; otherwise both branches are candidates.
 
 Numerical guards (thresholds below): near-degenerate kappa collapses the
 quadratic to its double root; a nearly symmetric partition switches phi1 to
@@ -28,7 +28,7 @@ cube.  Every guard and clip is recorded as a flag on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isnan, nan, sqrt
+from math import inf, isfinite, isnan, nan, sqrt
 
 from .estimators import MomentEstimates
 from .model import ModelParams
@@ -143,15 +143,6 @@ def phi1(a: str, m: float, w: float, r_plus: float,
     return val, flags
 
 
-def phi2(a: str, m: float, v: float, w: float, r_plus: float) -> float:
-    """Candidate for 1/p; requires phi1 > 0."""
-    p1, _ = phi1(a, m, w, r_plus)
-    if p1 == 0.0:
-        raise NonInvertibleError("phi1 vanishes: moment triple is not invertible")
-    r_minus = 1.0 - r_plus
-    return 1.0 + v / (((m - r_minus) ** 2 + r_plus * r_minus) * p1)
-
-
 def inverse_map(a: str, m: float, v: float, w: float,
                 r_plus: float) -> InversionResult:
     """Branch-`a` inverse of the moment map, unclipped coordinates."""
@@ -159,11 +150,11 @@ def inverse_map(a: str, m: float, v: float, w: float,
     if p1 == 0.0:
         raise NonInvertibleError("phi1 vanishes: moment triple is not invertible")
     r_minus = 1.0 - r_plus
-    f2 = 1.0 + v / (((m - r_minus) ** 2 + r_plus * r_minus) * p1)
+    inv_p = 1.0 + v / (((m - r_minus) ** 2 + r_plus * r_minus) * p1)
     root = sqrt(p1)
     mu = m * (1.0 - (2.0 * r_plus - 1.0) * root) - r_minus * root
-    lam = 1.0 - f2 * root
-    p = inf if f2 == 0.0 else 1.0 / f2
+    lam = 1.0 - inv_p * root
+    p = inf if inv_p == 0.0 else 1.0 / inv_p
     return InversionResult(mu=mu, lam=lam, p=p, branch=a,
                            guards=flags, clipped=frozenset())
 
@@ -191,20 +182,24 @@ def select_branch(m: float, v: float, w: float, r_plus: float,
 def invert_triple(m: float, v: float, w: float, r_plus: float) -> InversionResult:
     """Total inversion pipeline: branch choice, inverse map, then clipping.
 
-    Never raises on numeric input: moment triples that carry no parameter
-    information come back as NaN coordinates with the `non_invertible` flag.
+    Never raises on numeric input: moment triples that are not finite or
+    carry no parameter information come back as NaN coordinates with the
+    `non_invertible` flag and no clip flags.
     """
     guards: set[str] = set()
     try:
-        if not 0.0 < m < 1.0 or isnan(v) or isnan(w):
-            raise NonInvertibleError(f"mean statistic {m} outside (0, 1)")
+        if not (0.0 < m < 1.0 and isfinite(v) and isfinite(w)):
+            raise NonInvertibleError(f"moment triple ({m}, {v}, {w}) is not "
+                                     "finite with m in (0, 1)")
         branch = select_branch(m, v, w, r_plus)
         a = "minus" if branch == "either" else branch
         raw = inverse_map(a, m, v, w, r_plus)
+        if isnan(raw.mu) or isnan(raw.lam) or isnan(raw.p):
+            raise NonInvertibleError("inverse map produced NaN")
         guards |= raw.guards
         if branch == "either" and "degenerate_kappa" not in raw.guards:
             guards.add("arbitrary_branch")
-    except NonInvertibleError:
+    except (NonInvertibleError, OverflowError):
         return InversionResult(mu=nan, lam=nan, p=nan, branch="minus",
                                guards=frozenset({"non_invertible"}),
                                clipped=frozenset())

@@ -16,7 +16,8 @@ inversion pipeline gives the environment-level parameter estimates that
 finite-T estimates converge to.
 
 Both systems are solved by fixed-point iteration (contraction factor at most
-1 - lam); a dense LU solve is kept as an independent cross-check.
+1 - lam) on the signed kernel of `model.interaction_kernel`; a dense LU solve
+of the same kernel is kept as a cross-check of the iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import ceil, log
 import numpy as np
 
 from .inversion import InversionResult, invert_triple
-from .model import Environment, ModelParams
+from .model import Environment, ModelParams, interaction_kernel
 
 FIXED_POINT_TOL = 1e-12
 
@@ -68,12 +69,7 @@ def _iterate(apply_map, x0: np.ndarray, lam: float,
 def solve_m(env: Environment, params: ModelParams,
             tol: float = FIXED_POINT_TOL) -> np.ndarray:
     """Per-site stationary firing probabilities, sup-norm residual < ~tol."""
-    sp = env.partition.size_plus
-    theta = env.theta.astype(np.float64)
-    coef = (1.0 - params.lam) / env.n
-    base = params.mu + coef * theta[:, sp:].sum(axis=1)
-    signed = theta
-    signed[:, sp:] *= -1.0
+    base, signed, coef = interaction_kernel(env, params)
 
     def apply_map(x):
         return base + coef * (signed @ x)
@@ -84,38 +80,24 @@ def solve_m(env: Environment, params: ModelParams,
 def solve_c(env: Environment, params: ModelParams,
             tol: float = FIXED_POINT_TOL) -> np.ndarray:
     """Resolvent column sums: c = 1 + (1-lam) A^T c; |c_i| <= 1/lam."""
-    sp = env.partition.size_plus
-    theta = env.theta.astype(np.float64)
-    coef = (1.0 - params.lam) / env.n
-    sign = np.ones(env.n)
-    sign[sp:] = -1.0
+    _, signed, coef = interaction_kernel(env, params)
 
     def apply_map(x):
-        return 1.0 + coef * sign * (x @ theta)
+        return 1.0 + coef * (x @ signed)
 
     return _iterate(apply_map, np.ones(env.n), params.lam, tol)
 
 
-def _dense_matrix(env: Environment, params: ModelParams) -> np.ndarray:
-    """I - (1-lam) A as a dense matrix, for the LU cross-check."""
-    sp = env.partition.size_plus
-    a = env.theta.astype(np.float64) / env.n
-    a[:, sp:] *= -1.0
-    return np.eye(env.n) - (1.0 - params.lam) * a
-
-
 def solve_m_dense(env: Environment, params: ModelParams) -> np.ndarray:
     """Direct elimination solve of the mean system (cross-validation only)."""
-    sp = env.partition.size_plus
-    theta = env.theta.astype(np.float64)
-    coef = (1.0 - params.lam) / env.n
-    base = params.mu + coef * theta[:, sp:].sum(axis=1)
-    return np.linalg.solve(_dense_matrix(env, params), base)
+    base, signed, coef = interaction_kernel(env, params)
+    return np.linalg.solve(np.eye(env.n) - coef * signed, base)
 
 
 def solve_c_dense(env: Environment, params: ModelParams) -> np.ndarray:
     """Direct elimination solve of the column-sum system (cross-validation only)."""
-    return np.linalg.solve(_dense_matrix(env, params).T, np.ones(env.n))
+    _, signed, coef = interaction_kernel(env, params)
+    return np.linalg.solve((np.eye(env.n) - coef * signed).T, np.ones(env.n))
 
 
 def environment_solution(env: Environment, params: ModelParams) -> EnvironmentSolution:
@@ -133,10 +115,6 @@ def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:
     return TheoreticalLimits(m_inf=m_inf, v_inf=v_inf, w_inf=w_inf)
 
 
-def limit_inversion(env: Environment, params: ModelParams,
-                    r_plus: float | None = None) -> InversionResult:
-    """Parameters recovered from the environment's exact limits."""
-    if r_plus is None:
-        r_plus = params.r_plus
-    lim = limits(env, params)
+def limit_inversion(lim: TheoreticalLimits, r_plus: float) -> InversionResult:
+    """Parameters recovered from an environment's exact limits."""
     return invert_triple(lim.m_inf, lim.v_inf, lim.w_inf, r_plus)

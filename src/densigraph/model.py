@@ -181,7 +181,8 @@ def interaction_kernel(env: Environment, params: ModelParams):
     ``B`` is theta with inhibitory columns negated; ``base`` absorbs mu and
     the constant inhibitory contribution.  Entries of ``B @ x`` are exact
     small integers for binary x, so the result does not depend on summation
-    order.
+    order.  The forward sampler and the fixed-point solves in `limits` all
+    build the signed kernel here.
     """
     sp = env.partition.size_plus
     theta = env.theta.astype(np.float64)
@@ -275,11 +276,13 @@ def load_trajectory(path) -> Trajectory:
         if fh.readline().strip() != "t,i,x":
             raise ValueError(f"missing column header in {path}")
         x = np.zeros((n, t_len), dtype=np.uint8)
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(fh, start=3):
+            if line.isspace():
                 continue
-            t, i, value = (int(v) for v in line.split(","))
+            t, i, value = map(int, line.split(","))
+            if not (1 <= t <= t_len and 1 <= i <= n and 0 <= value <= 1):
+                raise ValueError(f"{path}, line {line_no}: {line.strip()!r} needs "
+                                 f"t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
             if value:
                 x[i - 1, t - 1] = 1
     return Trajectory(x)

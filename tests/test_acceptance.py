@@ -215,7 +215,8 @@ def test_criterion_7_limit_estimator_accuracy():
     errs = []
     for s in range(50):
         env = sample_environment(params, seed=700 + s)
-        errs.append(abs(limit_inversion(env, params).p - params.p))
+        errs.append(abs(limit_inversion(limits(env, params), params.r_plus).p
+                        - params.p))
     median = float(np.median(errs))
     elapsed = time.perf_counter() - start
     ok = median < 0.05 and elapsed < 120.0

@@ -35,6 +35,11 @@ class TestRun:
         cfg.write_text("bogus = 1\n")
         assert run_cli(["run", "--config", str(cfg), "--out",
                         str(tmp_path / "x.csv")]) == 2
+        for bad in (["vary=r_plus", "vary_values=0.3,0.3"],
+                    ["vary=n", "vary_values=10.7"]):
+            args = [a for kv in bad + ["n_simu=1", "t_grid=8"]
+                    for a in ("--set", kv)]
+            assert run_cli(["run", *args, "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_runs_without_config_file(self, tmp_path):
         out = tmp_path / "rows.csv"

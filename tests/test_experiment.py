@@ -59,6 +59,12 @@ class TestConfigParsing:
             parse_config_text("", ["vary=p"])  # vary without values
         with pytest.raises(ConfigError):
             parse_config_text("", ["beta=2.0"])  # mu > lam
+        with pytest.raises(ConfigError):
+            parse_config_text("", ["vary=p", "vary_values=0.3,0.5,0.30"])
+        with pytest.raises(ConfigError):
+            parse_config_text("", ["vary=n", "vary_values=50,100.7"])
+        with pytest.raises(ConfigError):
+            parse_config_text("", ["vary=p", "vary_values=0.3,1.5"])  # p > 1
 
     def test_params_for_vary(self):
         config = parse_config_text("", ["vary=lambda", "vary_values=0.4,0.8"])

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from densigraph import (ModelParams, build_partition, default_burnin,
-                        sample_environment, simulate, step,
+                        sample_environment, simulate,
                         transition_probabilities, zero_state)
 from densigraph.model import Environment
 from densigraph.oracles import column_indices
-from densigraph.rng import Stream, derive_key
 
 from _reference import binomial_sigma
 
@@ -54,30 +53,15 @@ def test_determinism_and_prefix_property():
     assert np.array_equal(a.x, longer.x[:, :50])
 
 
-def test_simulate_equals_repeated_step():
-    params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=6)
-    env = sample_environment(params, seed=8)
-    traj = simulate(env, params, zero_state(6), 30, burnin=4, seed=21)
-    stream = Stream(derive_key(21, "forward-sim"))
-    x = zero_state(6)
-    stepped = []
-    for k in range(34):
-        x = step(env, params, x, stream)
-        if k >= 4:
-            stepped.append(x.copy())
-    assert np.array_equal(traj.x, np.column_stack(stepped))
-
-
 def test_frozen_configuration_matches_transition_probability():
     env, params = fixture_env_params()
     x = np.array([0, 1, 0], dtype=np.uint8)
     target = transition_probabilities(env, params, x)
     assert target[0] == pytest.approx(0.2 + 0.4 * (2 / 3), abs=1e-12)
-    stream = Stream(derive_key(77, "frozen-x"))
     draws = 100_000
     hits = np.zeros(3)
-    for _ in range(draws):
-        hits += step(env, params, x, stream)
+    for seed in range(draws):
+        hits += simulate(env, params, x, t_len=1, burnin=0, seed=seed).x[:, 0]
     freqs = hits / draws
     for i in range(3):
         assert abs(freqs[i] - target[i]) <= 3 * binomial_sigma(target[i], draws)

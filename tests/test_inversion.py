@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from densigraph import (ModelParams, NonInvertibleError, denominator,
                         forward_map, forward_map_values, invert_triple,
-                        inverse_map, kappa, phi1, phi2, root_d, select_branch)
+                        inverse_map, kappa, phi1, root_d, select_branch)
 from densigraph.estimators import MomentEstimates
 from densigraph.inversion import KAPPA_DEGENERATE_TOL, invert
 from densigraph.rng import Stream, derive_key
@@ -146,7 +148,7 @@ class TestPhi:
         val, flags = phi1("minus", m, w, 0.5)
         assert val == pytest.approx(0.0625)
         assert not flags  # exactly symmetric: the closed form is definitional
-        assert phi2("minus", m, v, w, 0.5) == pytest.approx(2.0)
+        assert 1.0 / inverse_map("minus", m, v, w, 0.5).p == pytest.approx(2.0)
 
     def test_nearly_symmetric_flag(self):
         m, _, w = FIX_TRIPLE
@@ -166,7 +168,7 @@ class TestPhi:
         val, _ = phi1("minus", m, w, 0.5)
         assert val == 0.0
         with pytest.raises(NonInvertibleError):
-            phi2("minus", m, 0.01, w, 0.5)
+            inverse_map("minus", m, 0.01, w, 0.5)
 
 
 class TestInverseMap:
@@ -236,7 +238,7 @@ class TestInvert:
         assert res.branch == "minus"
 
     def test_clipping_of_out_of_range_coordinates(self):
-        # negative v drives phi2 negative: lam > 1 and p < 0 before clipping
+        # negative v drives 1/p negative: lam > 1 and p < 0 before clipping
         m, _, w = FIX_TRIPLE
         raw = inverse_map("minus", m, -0.1, w, 0.5)
         assert raw.lam > 1.0 and raw.p < 0.0
@@ -259,6 +261,32 @@ class TestInvert:
         assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
         res2 = invert_triple(0.0, 0.02, 0.3, 0.5)
         assert not res2.ok
+
+    @pytest.mark.parametrize("triple", [
+        (0.5, 0.01, math.inf, 0.5), (0.5, 0.01, -math.inf, 0.5),
+        (0.5, math.inf, 0.2, 0.5), (0.5, -math.inf, 0.2, 0.5),
+        (0.5, math.nan, 0.2, 0.5), (0.5, 0.01, math.nan, 0.5),
+        (math.nan, 0.01, 0.2, 0.5), (math.inf, 0.01, 0.2, 0.5),
+    ])
+    def test_non_finite_input_is_non_invertible(self, triple):
+        res = invert_triple(*triple)
+        assert res.guards == frozenset({"non_invertible"})
+        assert res.clipped == frozenset()
+        assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
+
+    @settings(max_examples=500, deadline=None)
+    @example(m=0.5, v=0.0, w=0.0, r_plus=9e-238)  # (1 - D)^2 overflows
+    @given(m=st.floats(), v=st.floats(), w=st.floats(),
+           r_plus=st.sampled_from([0.3, 0.4, 0.5, 0.5 + 2e-4, 0.6, 0.75])
+           | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_totality_and_admissible_output(self, m, v, w, r_plus):
+        res = invert_triple(m, v, w, r_plus)
+        if res.ok:
+            assert all(math.isfinite(x) for x in (res.mu, res.lam, res.p))
+            assert 0.0 <= res.mu <= res.lam <= 1.0
+            assert 0.0 <= res.p <= 1.0
+        else:
+            assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
 
     def test_arbitrary_branch_flagged(self):
         m = 0.5

@@ -149,7 +149,7 @@ class TestLimitInversion:
     def test_recovers_parameters_from_environment(self):
         params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=400)
         env = sample_environment(params, seed=21)
-        res = limit_inversion(env, params)
+        res = limit_inversion(limits(env, params), params.r_plus)
         assert res.ok
         assert abs(res.p - 0.5) < 0.1
         assert abs(res.lam - 0.5) < 0.05
@@ -163,7 +163,8 @@ class TestLimitInversion:
             for s in seeds:
                 params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=r_plus, n=200)
                 env = sample_environment(params, seed=1000 + s)
-                errs.append(abs(limit_inversion(env, params).p - 0.5))
+                errs.append(abs(limit_inversion(limits(env, params), params.r_plus).p
+                                - 0.5))
             errors[r_plus] = float(np.mean(errs))
         assert errors[0.4] > errors[0.6]
 

@@ -206,3 +206,16 @@ class TestSerialization:
         save_trajectory(traj, path)
         loaded = load_trajectory(path)
         assert np.array_equal(loaded.x, traj.x)
+
+    @pytest.mark.parametrize("row", ["0,1,1", "1,0,1", "1,1,7", "4,1,1", "1,3,1",
+                                     "1,1,-1"])
+    def test_trajectory_rows_out_of_range_rejected(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n\n{row}\n")
+        with pytest.raises(ValueError, match="line 5"):
+            load_trajectory(path)
+
+    def test_trajectory_explicit_zero_rows_accepted(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("# n=2 t_len=3\nt,i,x\n1,1,0\n3,2,1\n")
+        assert load_trajectory(path).x.tolist() == [[0, 0, 0], [0, 0, 1]]
