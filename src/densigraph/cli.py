@@ -99,7 +99,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    res = invert_triple(args.m, args.v, args.w, args.r_plus)
+    try:
+        res = invert_triple(args.m, args.v, args.w, args.r_plus)
+    except ValueError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
+        return 2
     print("mu,lambda,p,branch,guards,clipped")
     print(f"{res.mu:.17g},{res.lam:.17g},{res.p:.17g},{res.branch},"
           f"{'|'.join(sorted(res.guards))},{'|'.join(sorted(res.clipped))}")

@@ -21,7 +21,8 @@ or kappa >= 4 r_plus r_minus; otherwise both branches are candidates.
 Numerical guards (thresholds below): near-degenerate kappa collapses the
 quadratic to its double root; a nearly symmetric partition switches phi1 to
 the closed form w/(m(1-m)) - 1; negative phi1 intermediates are replaced by
-their absolute value; final coordinates are clipped back into the admissible
+their absolute value; a phi1 that vanishes within `PHI1_ZERO_TOL` makes the
+triple non-invertible; final coordinates are clipped back into the admissible
 cube.  Every guard and clip is recorded as a flag on the result.
 """
 
@@ -36,6 +37,10 @@ from .model import ModelParams
 # Guard thresholds; module-level so experiments can probe them.
 KAPPA_DEGENERATE_TOL = 1e-4
 SYMMETRIC_R_TOL = 1e-3
+# phi1 = ((1-lam) p)^2 at or below this carries no parameter information.  On
+# the no-information triple w = m(1-m) rounding alone leaves phi1 near 1e-16
+# on the symmetric branch and far smaller on the quadratic one, whatever r_plus.
+PHI1_ZERO_TOL = 1e-12
 
 _BRANCH_SIGN = {"plus": 1.0, "minus": -1.0}
 
@@ -99,20 +104,19 @@ def kappa(m: float, w: float, r_plus: float) -> float:
     return (2.0 * r_plus - 1.0) ** 2 * w / (m * (1.0 - m))
 
 
-def root_d(a: str, m: float, w: float, r_plus: float,
-           kappa_tol: float = KAPPA_DEGENERATE_TOL) -> tuple[float, frozenset[str]]:
+def root_d(a: str, m: float, w: float, r_plus: float) -> tuple[float, frozenset[str]]:
     """Branch-`a` root of the quadratic for the denominator D.
 
-    Within `kappa_tol` of the degenerate point kappa = 4 r_plus r_minus the
-    quadratic collapses and both branches return the double root
-    1 / (8 r_plus r_minus).  A negative discriminant (possible on noisy
-    input) is clamped to zero.  Total by design; flags report which guard
-    fired.
+    Within `KAPPA_DEGENERATE_TOL` of the degenerate point
+    kappa = 4 r_plus r_minus the quadratic collapses and both branches return
+    the double root 1 / (8 r_plus r_minus).  A negative discriminant (possible
+    on noisy input) is clamped to zero.  Total by design; flags report which
+    guard fired.
     """
     sign = _BRANCH_SIGN[a]
     c = 4.0 * r_plus * (1.0 - r_plus)
     k = kappa(m, w, r_plus)
-    if abs(k - c) < kappa_tol:
+    if abs(k - c) < KAPPA_DEGENERATE_TOL:
         return 1.0 / (2.0 * c), frozenset({"degenerate_kappa"})
     disc = c * c - c + k
     flags = frozenset()
@@ -122,12 +126,10 @@ def root_d(a: str, m: float, w: float, r_plus: float,
     return (c + sign * sqrt(disc)) / (c - k), flags
 
 
-def phi1(a: str, m: float, w: float, r_plus: float,
-         kappa_tol: float = KAPPA_DEGENERATE_TOL,
-         symmetric_tol: float = SYMMETRIC_R_TOL) -> tuple[float, frozenset[str]]:
+def phi1(a: str, m: float, w: float, r_plus: float) -> tuple[float, frozenset[str]]:
     """Candidate for ((1-lam) p)^2; nonnegative, with guard flags."""
     diff = 2.0 * r_plus - 1.0
-    if abs(diff) < symmetric_tol:
+    if abs(diff) < SYMMETRIC_R_TOL:
         if not 0.0 < m < 1.0:
             raise ValueError(f"phi1 needs 0 < m < 1, got m={m}")
         val = w / (m * (1.0 - m)) - 1.0
@@ -135,7 +137,7 @@ def phi1(a: str, m: float, w: float, r_plus: float,
         # exactly r_plus = 1/2 this closed form is the definition, not a guard.
         flags = frozenset({"symmetric_r"}) if diff != 0.0 else frozenset()
     else:
-        d, flags = root_d(a, m, w, r_plus, kappa_tol)
+        d, flags = root_d(a, m, w, r_plus)
         val = (1.0 - d) ** 2 / diff**2
     if val < 0.0:
         val = -val
@@ -147,7 +149,7 @@ def inverse_map(a: str, m: float, v: float, w: float,
                 r_plus: float) -> InversionResult:
     """Branch-`a` inverse of the moment map, unclipped coordinates."""
     p1, flags = phi1(a, m, w, r_plus)
-    if p1 == 0.0:
+    if p1 <= PHI1_ZERO_TOL:
         raise NonInvertibleError("phi1 vanishes: moment triple is not invertible")
     r_minus = 1.0 - r_plus
     inv_p = 1.0 + v / (((m - r_minus) ** 2 + r_plus * r_minus) * p1)
@@ -159,8 +161,7 @@ def inverse_map(a: str, m: float, v: float, w: float,
                            guards=flags, clipped=frozenset())
 
 
-def select_branch(m: float, v: float, w: float, r_plus: float,
-                  kappa_tol: float = KAPPA_DEGENERATE_TOL) -> str:
+def select_branch(m: float, v: float, w: float, r_plus: float) -> str:
     """Pick the inverse branch: "minus" when provably correct, else "either".
 
     "either" covers both the degenerate-kappa case (the branches coincide)
@@ -169,11 +170,11 @@ def select_branch(m: float, v: float, w: float, r_plus: float,
     """
     c = 4.0 * r_plus * (1.0 - r_plus)
     k = kappa(m, w, r_plus)
-    if abs(k - c) < kappa_tol:
+    if abs(k - c) < KAPPA_DEGENERATE_TOL:
         return "either"
     if r_plus >= 0.5 or k >= c:
         return "minus"
-    d_plus, _ = root_d("plus", m, w, r_plus, kappa_tol)
+    d_plus, _ = root_d("plus", m, w, r_plus)
     if d_plus > 2.0 * (1.0 - r_plus):
         return "minus"
     return "either"
@@ -182,10 +183,12 @@ def select_branch(m: float, v: float, w: float, r_plus: float,
 def invert_triple(m: float, v: float, w: float, r_plus: float) -> InversionResult:
     """Total inversion pipeline: branch choice, inverse map, then clipping.
 
-    Never raises on numeric input: moment triples that are not finite or
-    carry no parameter information come back as NaN coordinates with the
-    `non_invertible` flag and no clip flags.
+    Raises ValueError for r_plus outside (0, 1).  Otherwise total: moment
+    triples that are not finite or carry no parameter information come back
+    as NaN coordinates with the `non_invertible` flag and no clip flags.
     """
+    if not 0.0 < r_plus < 1.0:
+        raise ValueError(f"r_plus must lie in (0, 1), got {r_plus}")
     guards: set[str] = set()
     try:
         if not (0.0 < m < 1.0 and isfinite(v) and isfinite(w)):

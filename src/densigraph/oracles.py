@@ -122,7 +122,7 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     alive = np.ones(trials, dtype=bool)
     # Walk the later-born walk down to the common time.
     for s in range(t1, t2, -1):
-        j = field.draw_j_batch(keys[alive], a[alive], np.full(alive.sum(), s))
+        j, _ = field.draw_batch(keys[alive], a[alive], s)
         nxt = j - 1
         cur = np.where(alive)[0]
         dead = cur[j == 0]
@@ -139,9 +139,8 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
         if not alive.any():
             break
         idx = np.where(alive)[0]
-        t_arr = np.full(idx.size, s)
-        ja = field.draw_j_batch(keys[idx], a[idx], t_arr)
-        jb = field.draw_j_batch(keys[idx], b[idx], t_arr)
+        ja, _ = field.draw_batch(keys[idx], a[idx], s)
+        jb, _ = field.draw_batch(keys[idx], b[idx], s)
         ok = (ja > 0) & (jb > 0)
         alive[idx[~ok]] = False
         a[idx] = ja - 1

@@ -8,13 +8,14 @@ Each space-time site z = (i, t) carries an independent pair (J, xi):
     site k-1), and the value copies the chosen site's value at time t-1 --
     directly if the edge theta[i, k-1] is present and the source is
     excitatory, flipped if the source is inhibitory, and 0 if the edge is
-    absent.
+    absent (the copy rule).
 
 Following J backward in time defines a walk that dies (regenerates) after a
 geometric(lam) number of steps, so every site's value is determined by
-finitely many draws.  Resolving the draws lazily, keyed by (seed, i, t),
-yields a sample of the stationary chain restricted to any finite window,
-with no burn-in error.
+finitely many draws, each a pure function of (seed, i, t).  Walking each site
+of the first window column back to its regeneration fixes that column; every
+later column is one copy step from the column before it.  The window is a
+sample of the stationary chain with no burn-in error.
 """
 
 from __future__ import annotations
@@ -91,20 +92,15 @@ class SiteField:
         xi = 1 if uniform01(word(k, 2)) < self.beta else 0
         return j, xi
 
-    def draw_j_batch(self, keys: np.ndarray, i: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-        """Vectorized neighbor labels for per-trial keys (coalescence MC).
-
-        ``keys`` replaces the single field key with one key per trial;
-        otherwise this is bitwise-identical to the scalar `draw` j logic.
-        """
+    def draw_batch(self, keys, i, t) -> tuple[np.ndarray, np.ndarray]:
+        """`draw` over arrays, bit for bit: int64 j and uint8 xi.  ``keys`` (the
+        field key, or one per coalescence trial) broadcasts against i and t."""
         k = absorb_array(absorb_array(keys, i), t)
-        u0 = uniform01_array(word_array(k, 0))
-        u1 = uniform01_array(word_array(k, 1))
-        j = 1 + (u1 * self.n).astype(np.int64)
+        j = 1 + (uniform01_array(word_array(k, 1)) * self.n).astype(np.int64)
         np.minimum(j, self.n, out=j)
-        j[u0 < self.lam] = 0
-        return j
+        j[uniform01_array(word_array(k, 0)) < self.lam] = 0
+        xi = (uniform01_array(word_array(k, 2)) < self.beta).astype(np.uint8)
+        return j, xi
 
 
 def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw:
@@ -116,95 +112,67 @@ def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw
     return SiteDraw(j=j, xi=xi)
 
 
-def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
-                  max_depth: int | None = None) -> BackwardWalk:
-    """Follow the neighbor labels backward from z until regeneration."""
+def _depth_bound(max_depth: int | None, lam: float) -> int:
     if max_depth is None:
-        max_depth = default_max_depth(params.lam)
+        return default_max_depth(lam)
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    field = SiteField(seed, params)
+    return max_depth
+
+
+def _walk(field: SiteField, z: tuple[int, int],
+          max_depth: int) -> tuple[list[int], int]:
+    """Sites visited from z = (i, t) at times t, t-1, ..., and the final xi."""
     i, t = z
-    path = [(i, t)]
+    sites = [i]
     for _ in range(max_depth):
         j, xi = field.draw(i, t)
         if j == 0:
-            return BackwardWalk(start=z, path=tuple(path), regen_time=t,
-                                regen_site=i, regen_value=xi)
+            return sites, xi
         i, t = j - 1, t - 1
-        path.append((i, t))
-    raise DepthExceededError(
-        f"no regeneration within {max_depth} steps from {z}; "
-        "increase max_depth or check lam"
-    )
+        sites.append(i)
+    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
+                             f"{z}; increase max_depth or check lam")
+
+
+def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
+                  max_depth: int | None = None) -> BackwardWalk:
+    """Follow the neighbor labels backward from z until regeneration."""
+    max_depth = _depth_bound(max_depth, params.lam)
+    sites, xi = _walk(SiteField(seed, params), z, max_depth)
+    path = tuple((i, z[1] - k) for k, i in enumerate(sites))
+    return BackwardWalk(start=z, path=path, regen_time=path[-1][1],
+                        regen_site=sites[-1], regen_value=xi)
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
-                   seed: int, max_depth: int | None = None,
-                   order: str = "row") -> Trajectory:
+                   seed: int, max_depth: int | None = None) -> Trajectory:
     """Exact stationary sample on the window sites x times {1 .. t_len}.
 
-    Sites are resolved by memoized iterative descent into earlier times;
-    `order` ("row" = site-major, "column" = time-major) fixes the resolution
-    sweep and must not change the result (the field is shared).
+    Column 1 folds the copy rule forward along each site's backward walk
+    (`DepthExceededError` if one takes more than `max_depth` draws); each later
+    column copies the one before it through one batch draw.
     """
     if t_len < 1:
         raise ValueError(f"t_len must be >= 1, got {t_len}")
     if params.lam <= 0.0:
         raise ValueError("perfect sampling requires lam > 0")
-    if max_depth is None:
-        max_depth = default_max_depth(params.lam)
+    max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
-    theta = env.theta
     size_plus = env.partition.size_plus
-    n = env.n
-    values: dict[tuple[int, int], int] = {}
-    draws: dict[tuple[int, int], tuple[int, int]] = {}
+    x = np.empty((env.n, t_len), dtype=np.uint8)
+    for i in range(env.n):
+        sites, v = _walk(field, (i, 1), max_depth)
+        for dst, src in zip(sites[-2::-1], sites[:0:-1]):
+            v = v ^ (src >= size_plus) if env.theta[dst, src] else 0
+        x[i, 0] = v
 
-    def resolve(i0: int, t0: int) -> int:
-        stack = [(i0, t0)]
-        while stack:
-            z = stack[-1]
-            if z in values:
-                stack.pop()
-                continue
-            d = draws.get(z)
-            if d is None:
-                d = field.draw(z[0], z[1])
-                draws[z] = d
-            j, xi = d
-            if j == 0:
-                values[z] = xi
-                stack.pop()
-                continue
-            src = j - 1
-            parent = (src, z[1] - 1)
-            pv = values.get(parent)
-            if pv is None:
-                if len(stack) > max_depth:
-                    raise DepthExceededError(
-                        f"no regeneration within {max_depth} steps above "
-                        f"site {stack[0]}"
-                    )
-                stack.append(parent)
-                continue
-            if theta[z[0], src]:
-                values[z] = pv if src < size_plus else 1 - pv
-            else:
-                values[z] = 0
-            stack.pop()
-        return values[(i0, t0)]
-
-    out = np.empty((n, t_len), dtype=np.uint8)
-    if order == "row":
-        for i in range(n):
-            for t in range(1, t_len + 1):
-                out[i, t - 1] = resolve(i, t)
-    elif order == "column":
-        for t in range(1, t_len + 1):
-            for i in range(n):
-                out[i, t - 1] = resolve(i, t)
-    else:
-        raise ValueError(f"unknown resolution order {order!r}")
-    return Trajectory(out)
+    rows = np.arange(env.n)
+    inhibitory = rows >= size_plus
+    for t in range(2, t_len + 1):
+        j, xi = field.draw_batch(field.key, rows, t)
+        src = np.maximum(j - 1, 0)  # regenerating sites take xi below
+        copied = env.theta[rows, src] & (x[src, t - 2] ^ inhibitory[src])
+        x[:, t - 1] = np.where(j == 0, xi, copied)
+    return Trajectory(x)

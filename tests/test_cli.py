@@ -117,6 +117,14 @@ class TestEstimateInvertLimits:
         assert (float(mu), float(lam), float(p)) == pytest.approx((0.25, 0.5, 0.5))
         assert branch == "minus"
 
+    def test_invert_rejects_r_plus_outside_unit_interval(self, capsys):
+        code = run_cli(["invert", "--m", "0.4", "--v", "0.01", "--w", "0.3",
+                        "--r-plus", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r_plus must lie in (0, 1)" in captured.err
+
     def test_limits_from_env_file(self, tmp_path, capsys):
         env_path = tmp_path / "env.txt"
         run_cli(["sample", "--n", "12", "--t-len", "4", "--seed", "8",

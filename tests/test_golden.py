@@ -42,5 +42,6 @@ def test_pinned_csv_digest(name):
 
 
 def test_pinned_csv_digest_two_workers():
-    overrides, digest = GOLDEN["sweep"]
-    assert _digest(overrides, jobs=2) == digest
+    moved = [name for name, (overrides, digest) in sorted(GOLDEN.items())
+             if _digest(overrides, jobs=2) != digest]
+    assert moved == []

@@ -255,10 +255,12 @@ class TestInvert:
 
     def test_non_invertible_failure_value(self):
         m = 0.4
-        res = invert_triple(m, 0.02, m * (1 - m), 0.5)
-        assert not res.ok
-        assert "non_invertible" in res.guards
-        assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
+        # The no-information triple w = m(1-m) fails alike on either branch.
+        for v, r_plus in ((0.02, 0.5), (0.01, 0.3), (0.01, 0.5), (0.01, 0.7)):
+            res = invert_triple(m, v, m * (1 - m), r_plus)
+            assert not res.ok
+            assert "non_invertible" in res.guards
+            assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
         res2 = invert_triple(0.0, 0.02, 0.3, 0.5)
         assert not res2.ok
 
@@ -273,6 +275,11 @@ class TestInvert:
         assert res.guards == frozenset({"non_invertible"})
         assert res.clipped == frozenset()
         assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
+
+    @pytest.mark.parametrize("r_plus", [-1.0, 0.0, 1.0, 1.5, math.nan])
+    def test_rejects_r_plus_outside_unit_interval(self, r_plus):
+        with pytest.raises(ValueError, match="r_plus"):
+            invert_triple(0.4, 0.01, 0.3, r_plus)
 
     @settings(max_examples=500, deadline=None)
     @example(m=0.5, v=0.0, w=0.0, r_plus=9e-238)  # (1 - D)^2 overflows

@@ -52,12 +52,15 @@ class TestSiteDraw:
         keys = np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         sites = np.arange(50, dtype=np.int64) % 6
         times = np.arange(50, dtype=np.int64) - 25
-        batch = field.draw_j_batch(keys, sites, times)
+        js, xis = field.draw_batch(keys, sites, times)
         for k in range(50):
             scalar_field = SiteField(0, params)
             scalar_field.key = int(keys[k])
-            j, _ = scalar_field.draw(int(sites[k]), int(times[k]))
-            assert j == int(batch[k])
+            assert scalar_field.draw(int(sites[k]), int(times[k])) == (js[k], xis[k])
+        # One shared key broadcasts over a column of sites at a scalar time.
+        js, xis = field.draw_batch(field.key, sites[:6], -4)
+        for i in range(6):
+            assert field.draw(i, -4) == (js[i], xis[i])
 
     def test_site_index_bounds(self):
         params = small_params()
@@ -137,12 +140,30 @@ class TestPerfectSample:
         sigma = binomial_sigma(params.lam, traj.x.size)
         assert abs(traj.x.mean() - params.lam) <= 3 * sigma
 
-    def test_memoization_soundness_row_vs_column(self):
-        params = small_params(n=5, r_plus=0.6)
+    @pytest.mark.parametrize("n, lam, r_plus, t_len", [
+        (5, 0.5, 0.6, 12), (12, 0.05, 0.3, 6), (20, 0.2, 0.5, 8),
+        (9, 0.35, 0.75, 10), (40, 0.9, 0.4, 5),
+    ])
+    def test_matches_backward_walk_reference(self, n, lam, r_plus, t_len):
+        # Reference: every window site independently, by folding the copy
+        # rule forward along its own backward walk from the regeneration.
+        params = ModelParams(mu=lam / 3, lam=lam, p=0.5, r_plus=r_plus, n=n)
         env = sample_environment(params, seed=3)
-        by_rows = perfect_sample(env, params, 12, seed=4, order="row")
-        by_cols = perfect_sample(env, params, 12, seed=4, order="column")
-        assert np.array_equal(by_rows.x, by_cols.x)
+        seed = 4
+        sp = env.partition.size_plus
+        expect = np.empty((n, t_len), dtype=np.uint8)
+        for i in range(n):
+            for t in range(1, t_len + 1):
+                walk = backward_walk(seed, params, (i, t))
+                value = walk.regen_value
+                for (dst, _), (src, _) in zip(walk.path[-2::-1], walk.path[:0:-1]):
+                    if not env.theta[dst, src]:
+                        value = 0
+                    elif src >= sp:
+                        value = 1 - value
+                expect[i, t - 1] = value
+        traj = perfect_sample(env, params, t_len, seed=seed)
+        assert np.array_equal(traj.x, expect)
 
     def test_deterministic(self):
         params = small_params(n=4)
@@ -223,5 +244,22 @@ class TestPerfectSample:
         env = sample_environment(params, seed=1)
         with pytest.raises(ValueError):
             perfect_sample(env, params, 0, seed=1)
-        with pytest.raises(ValueError):
-            perfect_sample(env, params, 3, seed=1, order="diagonal")
+        for max_depth in (0, -3):
+            with pytest.raises(ValueError, match="max_depth"):
+                perfect_sample(env, params, 3, seed=1, max_depth=max_depth)
+
+    def test_depth_exceeded(self):
+        params = ModelParams(mu=0.0, lam=0.001, p=0.5, r_plus=0.5, n=50)
+        env = sample_environment(params, seed=1)
+        with pytest.raises(DepthExceededError):
+            perfect_sample(env, params, 3, seed=1, max_depth=1)
+        # The bound applies to the column-1 walks only: once they all
+        # regenerate at their first draw, later copying columns never walk.
+        params = small_params(lam=0.9)
+        env = sample_environment(params, seed=1)
+        seed = next(s for s in range(1000)
+                    if all(site_draw(s, params, (i, 1)).j == 0 for i in range(3)))
+        assert any(site_draw(seed, params, (i, t)).j
+                   for i in range(3) for t in range(2, 40))
+        traj = perfect_sample(env, params, 40, seed=seed, max_depth=1)
+        assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
