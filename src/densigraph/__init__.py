@@ -12,10 +12,11 @@ from .inversion import (InversionResult, LimitTriple, NonInvertibleError,
 from .limits import (EnvironmentSolution, TheoreticalLimits,
                      environment_solution, limit_inversion, limits, solve_c,
                      solve_c_dense, solve_m, solve_m_dense)
-from .model import (Environment, ModelParams, Partition, Trajectory,
-                    build_partition, load_environment, load_trajectory,
-                    sample_environment, save_environment, save_trajectory,
-                    transition_probabilities, transition_probability)
+from .model import (Environment, InputError, ModelParams, Partition,
+                    Trajectory, build_partition, load_environment,
+                    load_trajectory, sample_environment, save_environment,
+                    save_trajectory, transition_probabilities,
+                    transition_probability)
 from .oracles import (ExactDistribution, binomial_mixture_shat,
                       coalescence_probability_mc, covariance_mc,
                       exact_stationary, tv_distance)

@@ -14,17 +14,17 @@ import sys
 import numpy as np
 
 from .estimators import estimate_all
-from .experiment import (ConfigError, default_config, load_config,
-                         rows_to_csv, run_experiment, summarize,
-                         summary_to_csv)
+from .experiment import (default_config, load_config, rows_to_csv,
+                         run_experiment, summarize, summary_to_csv)
 from .forward import default_burnin, simulate, zero_state
 from .inversion import invert_triple
 from .limits import limits as compute_limits
-from .model import (ModelParams, load_environment, sample_environment,
-                    save_environment, load_trajectory, save_trajectory)
+from .model import (InputError, ModelParams, load_environment,
+                    sample_environment, save_environment, load_trajectory,
+                    save_trajectory)
 from .oracles import (binomial_mixture_shat, coalescence_probability_mc,
                       exact_stationary)
-from .perfect import perfect_sample
+from .perfect import DepthExceededError, perfect_sample
 
 
 def _add_param_flags(parser):
@@ -45,14 +45,10 @@ def _params_from(args, n=None) -> ModelParams:
 
 
 def _cmd_run(args) -> int:
-    try:
-        if args.config:
-            config = load_config(args.config, args.set)
-        else:
-            config = default_config(args.set)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if args.config:
+        config = load_config(args.config, args.set)
+    else:
+        config = default_config(args.set)
     rows = run_experiment(config, jobs=args.jobs)
     csv_text = rows_to_csv(rows)
     if args.out:
@@ -99,11 +95,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    try:
-        res = invert_triple(args.m, args.v, args.w, args.r_plus)
-    except ValueError as exc:
-        print(f"argument error: {exc}", file=sys.stderr)
-        return 2
+    res = invert_triple(args.m, args.v, args.w, args.r_plus)
     print("mu,lambda,p,branch,guards,clipped")
     print(f"{res.mu:.17g},{res.lam:.17g},{res.p:.17g},{res.branch},"
           f"{'|'.join(sorted(res.guards))},{'|'.join(sorted(res.clipped))}")
@@ -216,8 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad argument, config or input file is reported
+    on one stderr line with exit code 2, any other error with its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, OSError, UnicodeDecodeError, DepthExceededError) as exc:
+        print(f"{args.command} error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from math import floor, log
 
 import numpy as np
 
-from .model import Trajectory
+from .model import InputError, Trajectory
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def w_delta(traj: Trajectory, delta: int) -> float:
     """Block-increment variance W_delta of the site-averaged counts."""
     t_len = traj.t_len
     if not 1 <= delta <= t_len // 2:
-        raise ValueError(f"delta must lie in [1, {t_len // 2}], got {delta}")
+        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
     n = traj.n
     totals = _site_average_counts(traj)
     m_hat = totals[-1] / (n * t_len)
@@ -77,7 +77,7 @@ def w_delta(traj: Trajectory, delta: int) -> float:
 def temporal_variance(traj: Trajectory, delta: int) -> float:
     """Bias-corrected combination 2 W_{2 delta} - W_delta."""
     if delta < 1 or 2 * delta > traj.t_len // 2:
-        raise ValueError(
+        raise InputError(
             f"delta={delta} too large: need 2*delta <= {traj.t_len // 2} "
             f"for T={traj.t_len}"
         )
@@ -99,7 +99,7 @@ def estimate_all(traj: Trajectory, delta: int) -> MomentEstimates:
     """All three statistics on one trajectory, sharing a block length."""
     wd = w_delta(traj, delta)  # validates delta range
     if 2 * delta > traj.t_len // 2:
-        raise ValueError(
+        raise InputError(
             f"delta={delta} too large: need 2*delta <= {traj.t_len // 2} "
             f"for T={traj.t_len}"
         )

@@ -20,7 +20,7 @@ from .estimators import default_delta, estimate_all
 from .forward import default_burnin, simulate, zero_state
 from .inversion import InversionResult, forward_map_values, invert
 from .limits import limit_inversion, limits
-from .model import ModelParams, sample_environment
+from .model import InputError, ModelParams, sample_environment
 from .perfect import perfect_sample
 from .rng import derive_key
 
@@ -46,7 +46,7 @@ DEFAULTS = {
 VARYABLE = ("n", "r_plus", "beta", "lambda", "p")
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Malformed experiment configuration."""
 
 

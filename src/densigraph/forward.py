@@ -12,8 +12,12 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import Environment, ModelParams, Trajectory, interaction_kernel
+from .model import (Environment, InputError, ModelParams, Trajectory,
+                    interaction_kernel)
 from .rng import Stream, derive_key
+
+# Uniforms per `Stream.uniforms` call: simulate draws max(1, this // n) steps at once.
+_DRAW_BUDGET = 1 << 15
 
 
 def default_burnin(lam: float, tail: float = 1e-6) -> int:
@@ -31,26 +35,37 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
     ``burnin == 0``.  Output is a deterministic function of all arguments,
     and a longer run with the same inputs extends a shorter one (prefix
     property), which experiment batches rely on.
+
+    ``x0`` must be binary: then every partial sum of ``signed @ x`` is an
+    integer of magnitude at most n, exact in float32 for n < 2**24, so the
+    float32 matvec gives the float64 probabilities bit for bit.  The stream is
+    counter-based, so drawing a block of steps' uniforms at once changes no draw.
     """
     if t_len < 1:
-        raise ValueError(f"t_len must be >= 1, got {t_len}")
+        raise InputError(f"t_len must be >= 1, got {t_len}")
     if burnin < 0:
-        raise ValueError(f"burnin must be >= 0, got {burnin}")
+        raise InputError(f"burnin must be >= 0, got {burnin}")
     n = env.n
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have length {n}, got shape {x0.shape}")
+    x = np.asarray(x0, dtype=np.float64)
+    if x.shape != (n,):
+        raise InputError(f"x0 must have length {n}, got shape {x.shape}")
+    if not ((x == 0.0) | (x == 1.0)).all():
+        raise InputError("x0 entries must be 0 or 1")
 
     stream = Stream(derive_key(seed, "forward-sim"))
     base, signed, coef = interaction_kernel(env, params)
+    signed = signed.astype(np.float32)
+    x = x.astype(np.float32)
     out = np.empty((n, t_len), dtype=np.uint8)
-    x = x0
-    for k in range(burnin + t_len):
-        probs = base + coef * (signed @ x)
-        bits = stream.uniforms(n) < probs
-        x = bits.astype(np.float64)
-        if k >= burnin:
-            out[:, k - burnin] = bits
+    steps = burnin + t_len
+    block = max(1, _DRAW_BUDGET // n)
+    for start in range(0, steps, block):
+        draws = stream.uniforms(min(block, steps - start) * n).reshape(-1, n)
+        for k, u in enumerate(draws, start):
+            bits = u < base + coef * (signed @ x).astype(np.float64)
+            x = bits.astype(np.float32)
+            if k >= burnin:
+                out[:, k - burnin] = bits
     return Trajectory(out)
 
 

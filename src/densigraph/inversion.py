@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from math import inf, isfinite, isnan, nan, sqrt
 
 from .estimators import MomentEstimates
-from .model import ModelParams
+from .model import InputError, ModelParams
 
 # Guard thresholds; module-level so experiments can probe them.
 KAPPA_DEGENERATE_TOL = 1e-4
@@ -188,7 +188,7 @@ def invert_triple(m: float, v: float, w: float, r_plus: float) -> InversionResul
     as NaN coordinates with the `non_invertible` flag and no clip flags.
     """
     if not 0.0 < r_plus < 1.0:
-        raise ValueError(f"r_plus must lie in (0, 1), got {r_plus}")
+        raise InputError(f"r_plus must lie in (0, 1), got {r_plus}")
     guards: set[str] = set()
     try:
         if not (0.0 < m < 1.0 and isfinite(v) and isfinite(w)):

@@ -14,12 +14,22 @@ code; the excitatory population is always the prefix ``0 .. size_plus - 1``.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import ceil
 
 import numpy as np
 
 from .rng import Stream, derive_key
+
+# Trajectory rows formatted or parsed per block: bounds the text held in memory.
+_ROWS_PER_BLOCK = 1 << 16
+
+
+class InputError(ValueError):
+    """An argument or input file the caller can fix; the CLI reports it on
+    one stderr line instead of a traceback."""
 
 
 @dataclass(frozen=True)
@@ -41,15 +51,15 @@ class ModelParams:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+            raise InputError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.r_plus < 1.0:
-            raise ValueError(f"r_plus must lie in (0, 1), got {self.r_plus}")
+            raise InputError(f"r_plus must lie in (0, 1), got {self.r_plus}")
         if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lam must lie in (0, 1], got {self.lam}")
+            raise InputError(f"lam must lie in (0, 1], got {self.lam}")
         if not 0.0 <= self.mu <= self.lam:
-            raise ValueError(f"mu must lie in [0, lam], got mu={self.mu}")
+            raise InputError(f"mu must lie in [0, lam], got mu={self.mu}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+            raise InputError(f"p must lie in [0, 1], got {self.p}")
 
     @property
     def beta(self) -> float:
@@ -257,35 +267,77 @@ def save_trajectory(traj: Trajectory, path_or_file) -> None:
     try:
         fh.write(f"# n={traj.n} t_len={traj.t_len}\n")
         fh.write("t,i,x\n")
-        sites, times = np.nonzero(traj.x)
-        for t, i in sorted(zip(times.tolist(), sites.tolist())):
-            fh.write(f"{t + 1},{i + 1},1\n")
+        times, sites = np.nonzero(traj.x.T)
+        t_text = [f"{t}," for t in range(1, traj.t_len + 1)]
+        i_text = [f"{i},1\n" for i in range(1, traj.n + 1)]
+        for lo in range(0, times.size, _ROWS_PER_BLOCK):
+            rows = slice(lo, lo + _ROWS_PER_BLOCK)
+            fh.write("".join(chain.from_iterable(zip(
+                map(t_text.__getitem__, times[rows].tolist()),
+                map(i_text.__getitem__, sites[rows].tolist())))))
     finally:
         if own:
             fh.close()
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory written by :func:`save_trajectory`."""
+    """Read a trajectory written by :func:`save_trajectory`, skipping blank
+    lines; an `InputError` names the line of any row that is not three
+    integers t in 1..t_len, i in 1..n and x in {0, 1}."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n="):
-            raise ValueError(f"missing dimension header in {path}")
-        parts = dict(kv.split("=") for kv in header[2:].split())
-        n, t_len = int(parts["n"]), int(parts["t_len"])
+            raise InputError(f"missing dimension header in {path}")
+        try:
+            parts = dict(kv.split("=") for kv in header[2:].split())
+            n, t_len = int(parts["n"]), int(parts["t_len"])
+        except (KeyError, ValueError):
+            n = t_len = 0
+        if min(n, t_len) < 1:
+            raise InputError(f"bad dimension header in {path}")
         if fh.readline().strip() != "t,i,x":
-            raise ValueError(f"missing column header in {path}")
+            raise InputError(f"missing column header in {path}")
         x = np.zeros((n, t_len), dtype=np.uint8)
-        for line_no, line in enumerate(fh, start=3):
-            if line.isspace():
-                continue
-            t, i, value = map(int, line.split(","))
-            if not (1 <= t <= t_len and 1 <= i <= n and 0 <= value <= 1):
-                raise ValueError(f"{path}, line {line_no}: {line.strip()!r} needs "
-                                 f"t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
-            if value:
-                x[i - 1, t - 1] = 1
+        line_no = 3
+        while lines := list(islice(fh, _ROWS_PER_BLOCK)):
+            _set_rows(x, lines, line_no, path)
+            line_no += len(lines)
     return Trajectory(x)
+
+
+def _set_rows(x: np.ndarray, lines: list[str], first: int, path) -> None:
+    """Set the cells of x named by a block of t,i,x rows starting at file line
+    `first`, or raise an `InputError` naming the first bad row."""
+    n, t_len = x.shape
+    rows = [line for line in lines if not line.isspace()]
+    if not rows:
+        return
+    try:
+        # numpy before 2.4 parses a field such as "0.9" through a float and
+        # truncates it, with only a DeprecationWarning: make that an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            t, i, value = np.loadtxt(rows, dtype=np.int64, delimiter=",", ndmin=2,
+                                     comments=None).T
+    except (ValueError, DeprecationWarning):
+        t, i, value = np.array([_int_row(row) for row in rows], dtype=object).T
+    bad = np.flatnonzero(~((1 <= t) & (t <= t_len) & (1 <= i) & (i <= n)
+                           & ((value == 0) | (value == 1))))
+    if bad.size:
+        k = [k for k, line in enumerate(lines) if not line.isspace()][bad[0]]
+        raise InputError(f"{path}, line {first + k}: {lines[k].strip()!r} needs "
+                         f"t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
+    on = value == 1
+    x[i[on].astype(np.intp) - 1, t[on].astype(np.intp) - 1] = 1
+
+
+def _int_row(row: str) -> tuple[int, int, int]:
+    """A row's three integer fields, or (0, 0, 0), which no range admits."""
+    try:
+        t, i, value = map(int, row.split(","))
+    except ValueError:
+        return 0, 0, 0
+    return t, i, value
 
 
 def load_environment(path) -> Environment:
@@ -293,13 +345,17 @@ def load_environment(path) -> Environment:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 4:
-            raise ValueError(f"bad environment header in {path}")
-        n, size_plus = int(header[0]), int(header[1])
-        p, seed = float(header[2]), int(header[3])
+            raise InputError(f"bad environment header in {path}")
+        try:
+            n, size_plus = int(header[0]), int(header[1])
+            p, seed = float(header[2]), int(header[3])
+            partition = Partition(n, size_plus)
+        except ValueError:
+            raise InputError(f"bad environment header in {path}") from None
         theta = np.zeros((n, n), dtype=np.uint8)
         for i in range(n):
             line = fh.readline().strip()
             if len(line) != n or set(line) - {"0", "1"}:
-                raise ValueError(f"bad environment row {i} in {path}")
+                raise InputError(f"bad environment row {i} in {path}")
             theta[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
-    return Environment(theta=theta, partition=Partition(n, size_plus), p=p, seed=seed)
+    return Environment(theta=theta, partition=partition, p=p, seed=seed)

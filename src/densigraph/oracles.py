@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Environment, ModelParams, transition_probabilities
+from .model import (Environment, InputError, ModelParams,
+                    transition_probabilities)
 from .perfect import SiteField, default_max_depth, perfect_sample
 from .rng import absorb_array, derive_key
 
@@ -58,7 +59,7 @@ def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
     """Full 2^n x 2^n one-step transition matrix (n <= 12)."""
     n = env.n
     if n > MAX_EXACT_SITES:
-        raise ValueError(f"state space too large: n={n} > {MAX_EXACT_SITES}")
+        raise InputError(f"state space too large: n={n} > {MAX_EXACT_SITES}")
     size = 2**n
     states = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1)
     fire = np.empty((size, n))
@@ -108,7 +109,7 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     estimate and its binomial standard error.
     """
     if z1 == z2:
-        raise ValueError("coalescence probe needs two distinct sites")
+        raise InputError("coalescence probe needs two distinct sites")
     if max_depth is None:
         max_depth = default_max_depth(params.lam)
     field = SiteField(0, params)  # parameters only; per-trial keys replace field.key
@@ -180,14 +181,14 @@ def binomial_mixture_shat(b, t_len: int, kappa: float) -> float:
     totals around t_len * m measures 1/p without bias.
     """
     if t_len < 2:
-        raise ValueError(f"t_len must be >= 2, got {t_len}")
+        raise InputError(f"t_len must be >= 2, got {t_len}")
     if not 0.0 < kappa < 0.5:
-        raise ValueError(f"kappa must lie in (0, 1/2), got {kappa}")
+        raise InputError(f"kappa must lie in (0, 1/2), got {kappa}")
     b = np.asarray(b, dtype=np.float64)
     if b.size == 0:
-        raise ValueError("need at least one site total")
+        raise InputError("need at least one site total")
     if b.min() < 0 or b.max() > t_len:
-        raise ValueError("site totals must lie in [0, t_len]")
+        raise InputError("site totals must lie in [0, t_len]")
     n = b.size
     m = 0.5 + kappa
     v_hat = float(np.mean((b - t_len * m) ** 2))

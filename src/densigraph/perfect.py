@@ -25,7 +25,7 @@ from math import ceil, log
 
 import numpy as np
 
-from .model import Environment, ModelParams, Trajectory
+from .model import Environment, InputError, ModelParams, Trajectory
 from .rng import (MASK64, absorb, absorb_array, derive_key, uniform01,
                   uniform01_array, word, word_array)
 
@@ -96,10 +96,11 @@ class SiteField:
         """`draw` over arrays, bit for bit: int64 j and uint8 xi.  ``keys`` (the
         field key, or one per coalescence trial) broadcasts against i and t."""
         k = absorb_array(absorb_array(keys, i), t)
-        j = 1 + (uniform01_array(word_array(k, 1)) * self.n).astype(np.int64)
+        u = uniform01_array(word_array(k, (0, 1, 2)))
+        j = 1 + (u[1] * self.n).astype(np.int64)
         np.minimum(j, self.n, out=j)
-        j[uniform01_array(word_array(k, 0)) < self.lam] = 0
-        xi = (uniform01_array(word_array(k, 2)) < self.beta).astype(np.uint8)
+        j[u[0] < self.lam] = 0
+        xi = (u[2] < self.beta).astype(np.uint8)
         return j, xi
 
 
@@ -116,7 +117,7 @@ def _depth_bound(max_depth: int | None, lam: float) -> int:
     if max_depth is None:
         return default_max_depth(lam)
     if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+        raise InputError(f"max_depth must be >= 1, got {max_depth}")
     return max_depth
 
 
@@ -154,7 +155,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     column copies the one before it through one batch draw.
     """
     if t_len < 1:
-        raise ValueError(f"t_len must be >= 1, got {t_len}")
+        raise InputError(f"t_len must be >= 1, got {t_len}")
     if params.lam <= 0.0:
         raise ValueError("perfect sampling requires lam > 0")
     max_depth = _depth_bound(max_depth, params.lam)

@@ -33,6 +33,10 @@ _DOMAIN = 0x243F6A8885A308D3
 # Multiplier mapping the top 53 bits of a word to [0, 1).
 _U01 = 2.0 ** -53
 
+# uint64 forms of the shifts and multipliers, built once for the array paths.
+_U1, _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (1, 11, 27, 30, 31))
+_UPHI, _UM1, _UM2 = np.uint64(_PHI), np.uint64(_M1), np.uint64(_M2)
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -49,12 +53,16 @@ def mix64(x: int) -> int:
 
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized `mix64` over a uint64 array."""
-    x = np.array(x, dtype=np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
+    return _mix64_inplace(np.array(x, dtype=np.uint64, copy=True))
+
+
+def _mix64_inplace(x: np.ndarray) -> np.ndarray:
+    """`mix64_array` overwriting x, a uint64 array the caller owns."""
+    x ^= x >> _S30
+    x *= _UM1
+    x ^= x >> _S27
+    x *= _UM2
+    x ^= x >> _S31
     return x
 
 
@@ -75,7 +83,7 @@ def absorb_array(state, values: np.ndarray) -> np.ndarray:
     """Vectorized `absorb`; `values` may be any integer dtype (negatives wrap)."""
     v = np.asarray(values, dtype=np.int64).astype(np.uint64)
     s = np.asarray(state, dtype=np.uint64)
-    return mix64_array((s + np.uint64(_PHI)) ^ v)
+    return mix64_array((s + _UPHI) ^ v)
 
 
 def derive_key(seed: int, *parts: int | str) -> int:
@@ -93,10 +101,12 @@ def word(key: int, counter: int) -> int:
     return mix64((key + _PHI * (counter + 1)) & MASK64)
 
 
-def word_array(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized `word` over an array of keys, one fixed counter."""
+def word_array(keys: np.ndarray, counter) -> np.ndarray:
+    """Vectorized `word` over an array of keys, one fixed counter.  A sequence
+    of counters stacks their words along a new leading axis in one pass."""
     k = np.asarray(keys, dtype=np.uint64)
-    return mix64_array(k + np.uint64((_PHI * (counter + 1)) & MASK64))
+    steps = (np.array(counter, dtype=np.uint64, ndmin=1) + _U1) * _UPHI  # wraps
+    return mix64_array(k + steps.reshape(np.shape(counter) + (1,) * k.ndim))
 
 
 def uniform01(w: int) -> float:
@@ -105,7 +115,7 @@ def uniform01(w: int) -> float:
 
 
 def uniform01_array(w: np.ndarray) -> np.ndarray:
-    return (w >> np.uint64(11)) * _U01
+    return (w >> _S11) * _U01
 
 
 class Stream:
@@ -128,9 +138,8 @@ class Stream:
         return u
 
     def uniforms(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        words = mix64_array(
-            np.uint64(self.key) + np.uint64(_PHI) * (idx + np.uint64(1))
-        )
-        return uniform01_array(words)
+        x *= _UPHI
+        x += np.uint64(self.key)
+        return uniform01_array(_mix64_inplace(x))

@@ -1,12 +1,15 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is written directly from the defining formulas with plain
-Python loops, deliberately sharing no code with the package.
+Python loops, deliberately sharing no code with the package beyond the keyed
+random stream, which fixes what the draws are.
 """
 
 import math
 
 import numpy as np
+
+from densigraph.rng import Stream, derive_key
 
 
 def transition_probability_loops(theta, size_plus, mu, lam, x, i):
@@ -20,6 +23,37 @@ def transition_probability_loops(theta, size_plus, mu, lam, x, i):
         else:
             minus_sum += theta[i][j] * (1 - x[j])
     return mu + (1 - lam) * (plus_sum / n + minus_sum / n)
+
+
+def simulate_reference(theta, size_plus, mu, lam, x0, t_len, burnin, seed):
+    """The forward chain one step at a time: a float64 matvec and one
+    ``uniforms(n)`` call per step, recording the last t_len steps."""
+    n = len(x0)
+    signed = np.array(theta, dtype=np.float64)
+    signed[:, size_plus:] *= -1.0
+    coef = (1.0 - lam) / n
+    base = mu + coef * np.array(theta, dtype=np.float64)[:, size_plus:].sum(axis=1)
+    stream = Stream(derive_key(seed, "forward-sim"))
+    x = np.array(x0, dtype=np.float64)
+    out = np.empty((n, t_len), dtype=np.uint8)
+    for k in range(burnin + t_len):
+        bits = stream.uniforms(n) < base + coef * (signed @ x)
+        x = bits.astype(np.float64)
+        if k >= burnin:
+            out[:, k - burnin] = bits
+    return out
+
+
+def trajectory_csv_reference(x):
+    """Sparse trajectory text: a dimension line, a column header, then one
+    1-based ``t,i,1`` row per firing cell in (t, i) order."""
+    n, t_len = x.shape
+    lines = [f"# n={n} t_len={t_len}\n", "t,i,x\n"]
+    for t in range(t_len):
+        for i in range(n):
+            if x[i, t]:
+                lines.append(f"{t + 1},{i + 1},1\n")
+    return "".join(lines)
 
 
 def cumulative_counts(x):

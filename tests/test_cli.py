@@ -1,6 +1,7 @@
 import pytest
 
 from densigraph import estimate_all, load_environment, load_trajectory
+from densigraph import cli
 from densigraph.cli import main
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 
@@ -89,6 +90,23 @@ class TestSample:
         assert code == 0
         assert load_trajectory(traj_path).t_len == 12
 
+    @pytest.mark.parametrize("args, message", [
+        (["--lambda", "2"], "lam must lie in (0, 1]"),
+        (["--sampler", "perfect", "--max-depth", "-3"], "max_depth must be >= 1"),
+        (["--sampler", "perfect", "--max-depth", "1", "--lambda", "0.001"],
+         "no regeneration within 1 steps"),
+        (["--load-env", "missing-env.txt"], "missing-env.txt"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, monkeypatch, capsys, args,
+                                  message):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["sample", "--n", "40", "--t-len", "3", *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sample error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
 
 class TestEstimateInvertLimits:
     def test_estimate_matches_library(self, tmp_path, capsys):
@@ -138,12 +156,50 @@ class TestEstimateInvertLimits:
         m_inf = float(out[1].split(",")[0])
         assert 0.0 < m_inf < 1.0
 
+    @pytest.mark.parametrize("command, message", [
+        (["estimate", "--traj"], "line 3: '1,9,1' needs"),
+        (["limits", "--mu", "0.25", "--lambda", "0.5", "--env"],
+         "bad environment header")])
+    def test_file_errors_exit_2(self, tmp_path, capsys, command, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# n=2 t_len=3\nt,i,x\n1,9,1\n")
+        for path, expected in ((tmp_path / "missing.txt", "No such file"),
+                               (bad, message)):
+            assert run_cli([*command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"{command[0]} error: ")
+            assert expected in captured.err and captured.err.count("\n") == 1
+
+    def test_bad_delta_exit_2(self, tmp_path, capsys):
+        traj_path = tmp_path / "traj.csv"
+        run_cli(["sample", "--n", "6", "--t-len", "8", "--dump-traj", str(traj_path)])
+        assert run_cli(["estimate", "--traj", str(traj_path), "--delta", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("estimate error: delta=3 too large")
+
+    def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
+        traj_path = tmp_path / "traj.csv"
+        run_cli(["sample", "--n", "6", "--t-len", "8", "--dump-traj", str(traj_path)])
+
+        def failing_estimate_all(traj, delta):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli, "estimate_all", failing_estimate_all)
+        with pytest.raises(ValueError, match="not an input error"):
+            run_cli(["estimate", "--traj", str(traj_path)])
+
 
 class TestOracle:
     def test_shat(self, capsys):
         assert run_cli(["oracle", "shat", "--b", "2", "--t-len", "2",
                         "--kappa", "0.25"]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.0)
+
+    def test_bad_kappa_exit_2(self, capsys):
+        assert run_cli(["oracle", "shat", "--b", "2", "--t-len", "2",
+                        "--kappa", "2"]) == 2
+        assert capsys.readouterr().err.startswith("oracle error: kappa must lie")
 
     def test_stationary(self, tmp_path, capsys):
         env_path = tmp_path / "env.txt"

@@ -4,10 +4,11 @@ import pytest
 from densigraph import (ModelParams, build_partition, default_burnin,
                         sample_environment, simulate,
                         transition_probabilities, zero_state)
+from densigraph.forward import _DRAW_BUDGET
 from densigraph.model import Environment
 from densigraph.oracles import column_indices
 
-from _reference import binomial_sigma
+from _reference import binomial_sigma, simulate_reference
 
 
 def fixture_env_params():
@@ -103,3 +104,44 @@ def test_input_validation():
         simulate(env, params, zero_state(3), 5, burnin=-1, seed=1)
     with pytest.raises(ValueError):
         simulate(env, params, zero_state(4), 5, seed=1)
+    for bad in (0.5, 2, -1, np.nan):
+        x0 = np.zeros(3)
+        x0[1] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            simulate(env, params, x0, 5, seed=1)
+
+
+def _block(n):
+    """Steps whose uniforms `simulate` draws in one call."""
+    return max(1, _DRAW_BUDGET // n)
+
+
+# (n, lam, r_plus, t_len, burnin), with t_len and burnin given as (k, d) for
+# k * block + d, so that each case lands on or next to a block boundary.
+KERNEL_CASES = [
+    (1, 0.5, 0.5, (0, 1), (0, 0)),       # size_plus == n
+    (1, 0.05, 0.3, (1, 1), (0, 0)),
+    (3, 0.05, 0.99, (1, -1), (0, 0)),    # size_plus == n
+    (3, 0.5, 0.5, (1, 0), (0, 0)),
+    (50, 0.05, 0.3, (1, 1), (0, 2)),
+    (50, 0.2, 0.6, (1, 0), (1, -3)),     # burn-in ends inside block 1
+    (500, 0.05, 0.5, (0, 1), (0, 0)),
+    (500, 0.5, 0.5, (1, -1), (0, 0)),
+    (500, 0.5, 0.7, (1, 0), (0, 0)),
+    (500, 0.9, 0.3, (1, 1), (0, 0)),
+    (500, 0.5, 0.5, (2, 7), (1, 4)),     # burn-in ends inside block 2
+]
+
+
+@pytest.mark.parametrize("n, lam, r_plus, t_len, burnin", KERNEL_CASES)
+def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
+    block = max(1, _DRAW_BUDGET // n)  # steps per Stream.uniforms call
+    t_len, burnin = (k * block + d for k, d in (t_len, burnin))
+    params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=r_plus, n=n)
+    env = sample_environment(params, seed=n)
+    x0 = (np.arange(n) % 3 == 1).astype(np.uint8)
+    got = simulate(env, params, x0, t_len, burnin=burnin, seed=t_len)
+    want = simulate_reference(env.theta, env.partition.size_plus, params.mu,
+                              lam, x0, t_len, burnin, seed=t_len)
+    assert got.x.shape == (n, t_len)
+    assert np.array_equal(got.x, want)

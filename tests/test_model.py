@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from densigraph import (Environment, ModelParams, Partition, Trajectory,
-                        build_partition, load_environment, load_trajectory,
-                        sample_environment, save_environment, save_trajectory,
-                        transition_probabilities, transition_probability)
-from _reference import transition_probability_loops
+from densigraph import (Environment, InputError, ModelParams, Partition,
+                        Trajectory, build_partition, load_environment,
+                        load_trajectory, sample_environment, save_environment,
+                        save_trajectory, transition_probabilities,
+                        transition_probability)
+from densigraph import model
+from _reference import trajectory_csv_reference, transition_probability_loops
 
 
 def make_env(theta, r_plus=0.5):
@@ -219,3 +223,68 @@ class TestSerialization:
         path = tmp_path / "traj.csv"
         path.write_text("# n=2 t_len=3\nt,i,x\n1,1,0\n3,2,1\n")
         assert load_trajectory(path).x.tolist() == [[0, 0, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("block", [2, 3, 1 << 16])
+    def test_trajectory_file_bytes_match_reference(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for shape, density in [((1, 1), 1.0), ((4, 3), 0.0), ((7, 13), 0.4),
+                               ((30, 50), 0.9)]:
+            traj = Trajectory((rng.random(shape) < density).astype(np.uint8))
+            path = tmp_path / "traj.csv"
+            save_trajectory(traj, path)
+            assert path.read_text() == trajectory_csv_reference(traj.x)
+            assert np.array_equal(load_trajectory(path).x, traj.x)
+
+    @pytest.mark.parametrize("row", ["1,1", "1,1,1,1", "a,1,1", "1,1,1.5", "1,,1",
+                                     "# note", "1,1,0.9", "1.9,2,1", "1_0,1,1"])
+    def test_trajectory_malformed_rows_rejected(self, tmp_path, row):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n \t\n{row}\n2,2,1\n")
+        with pytest.raises(InputError, match="line 5"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("row", ["1,1,0.9", "1.9,2,1"])
+    def test_trajectory_float_fields_rejected_by_truncating_numpy(
+            self, tmp_path, monkeypatch, row):
+        # numpy before 2.4 parses "0.9" into an int64 field through a float,
+        # truncates it and only warns; the loader must still reject the row.
+        real_loadtxt = np.loadtxt
+
+        def truncating_loadtxt(rows, **kwargs):
+            if not any("." in r for r in rows):
+                return real_loadtxt(rows, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+            return np.array([[int(float(f)) for f in r.split(",")] for r in rows])
+
+        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
+        path = tmp_path / "traj.csv"
+        path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n{row}\n")
+        with pytest.raises(InputError, match="line 4"):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("header", ["t,i,x", "# n=2", "# n=2 t_len=x",
+                                        "# n=2 t_len", "# n=0 t_len=3"])
+    def test_trajectory_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"{header}\nt,i,x\n1,1,1\n")
+        with pytest.raises(InputError):
+            load_trajectory(path)
+
+    @pytest.mark.parametrize("header", ["2 1 0.5", "a 1 0.5 0", "2 3 0.5 0"])
+    def test_environment_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "env.txt"
+        path.write_text(f"{header}\n01\n10\n")
+        with pytest.raises(InputError, match="bad environment header"):
+            load_environment(path)
+
+    def test_trajectory_rows_checked_in_every_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(model, "_ROWS_PER_BLOCK", 2)
+        path = tmp_path / "traj.csv"
+        body = "1,1,1\n\n\n\n2,2,1\n  \n3,1,0\n"
+        path.write_text("# n=2 t_len=3\nt,i,x\n" + body)
+        assert load_trajectory(path).x.tolist() == [[1, 0, 0], [0, 1, 0]]
+        path.write_text("# n=2 t_len=3\nt,i,x\n" + body + "\n3,3,1\n")
+        with pytest.raises(ValueError, match="line 11"):
+            load_trajectory(path)
