@@ -14,10 +14,7 @@ import numpy as np
 
 from .model import (Environment, InputError, ModelParams, Trajectory,
                     interaction_kernel)
-from .rng import Stream, derive_key
-
-# Uniforms per `Stream.uniforms` call: simulate draws max(1, this // n) steps at once.
-_DRAW_BUDGET = 1 << 15
+from .rng import DRAW_BUDGET, Stream, derive_key
 
 
 def default_burnin(lam: float, tail: float = 1e-6) -> int:
@@ -58,7 +55,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
     x = x.astype(np.float32)
     out = np.empty((n, t_len), dtype=np.uint8)
     steps = burnin + t_len
-    block = max(1, _DRAW_BUDGET // n)
+    block = max(1, DRAW_BUDGET // n)
     for start in range(0, steps, block):
         draws = stream.uniforms(min(block, steps - start) * n).reshape(-1, n)
         for k, u in enumerate(draws, start):

@@ -249,11 +249,11 @@ class Trajectory:
 
 def save_environment(env: Environment, path) -> None:
     """Write an environment in the text format `n size_plus p seed` + 0/1 rows."""
+    text = np.full((env.n, env.n + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = env.theta + ord("0")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{env.n} {env.partition.size_plus} {env.p!r} {env.seed}\n")
-        for row in env.theta:
-            fh.write("".join("1" if v else "0" for v in row))
-            fh.write("\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def save_trajectory(traj: Trajectory, path_or_file) -> None:
@@ -283,7 +283,8 @@ def save_trajectory(traj: Trajectory, path_or_file) -> None:
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`, skipping blank
     lines; an `InputError` names the line of any row that is not three
-    integers t in 1..t_len, i in 1..n and x in {0, 1}."""
+    integers t in 1..t_len, i in 1..n and x in {0, 1}, or that repeats the
+    cell (t, i) of an earlier row."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n="):
@@ -302,12 +303,14 @@ def load_trajectory(path) -> Trajectory:
         while lines := list(islice(fh, _ROWS_PER_BLOCK)):
             _set_rows(x, lines, line_no, path)
             line_no += len(lines)
+    x &= 1
     return Trajectory(x)
 
 
 def _set_rows(x: np.ndarray, lines: list[str], first: int, path) -> None:
     """Set the cells of x named by a block of t,i,x rows starting at file line
-    `first`, or raise an `InputError` naming the first bad row."""
+    `first` to 2 | x (2 marks a cell read), or raise an `InputError` naming
+    the first bad or repeated row."""
     n, t_len = x.shape
     rows = [line for line in lines if not line.isspace()]
     if not rows:
@@ -321,14 +324,20 @@ def _set_rows(x: np.ndarray, lines: list[str], first: int, path) -> None:
                                      comments=None).T
     except (ValueError, DeprecationWarning):
         t, i, value = np.array([_int_row(row) for row in rows], dtype=object).T
-    bad = np.flatnonzero(~((1 <= t) & (t <= t_len) & (1 <= i) & (i <= n)
-                           & ((value == 0) | (value == 1))))
-    if bad.size:
-        k = [k for k, line in enumerate(lines) if not line.isspace()][bad[0]]
-        raise InputError(f"{path}, line {first + k}: {lines[k].strip()!r} needs "
-                         f"t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
-    on = value == 1
-    x[i[on].astype(np.intp) - 1, t[on].astype(np.intp) - 1] = 1
+    ok = (1 <= t) & (t <= t_len) & (1 <= i) & (i <= n) & ((value == 0) | (value == 1))
+    stop = ok.size if ok.all() else int(ok.argmin())  # rows before the first bad one
+    t, i = t[:stop].astype(np.intp) - 1, i[:stop].astype(np.intp) - 1
+    repeat = x[i, t] > 1
+    cell = t * n + i  # time-major: a saved file's cells ascend, and timsort is linear
+    order = np.argsort(cell, kind="stable")
+    repeat[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
+    if repeat.any() or stop < ok.size:
+        row = int(repeat.argmax()) if repeat.any() else stop
+        k = [k for k, line in enumerate(lines) if not line.isspace()][row]
+        need = ("repeats the cell (t, i) of an earlier row" if row < stop else
+                f"needs t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
+        raise InputError(f"{path}, line {first + k}: {lines[k].strip()!r} {need}")
+    x[i, t] = 2 | value
 
 
 def _int_row(row: str) -> tuple[int, int, int]:

@@ -110,6 +110,8 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     """
     if z1 == z2:
         raise InputError("coalescence probe needs two distinct sites")
+    if not (0 <= z1[0] < params.n and 0 <= z2[0] < params.n):
+        raise InputError(f"site indices {z1[0]}, {z2[0]} must lie in 0..{params.n - 1}")
     if max_depth is None:
         max_depth = default_max_depth(params.lam)
     field = SiteField(0, params)  # parameters only; per-trial keys replace field.key

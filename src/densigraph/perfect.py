@@ -15,7 +15,9 @@ geometric(lam) number of steps, so every site's value is determined by
 finitely many draws, each a pure function of (seed, i, t).  Walking each site
 of the first window column back to its regeneration fixes that column; every
 later column is one copy step from the column before it.  The window is a
-sample of the stationary chain with no burn-in error.
+sample of the stationary chain with no burn-in error.  Row keys absorb(key, i)
+are hashed once per call, columns 2..T are drawn in chunks of `DRAW_BUDGET`
+sites, and a site hashes word 0, then word 1 (source) or word 2 (xi) alone.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from math import ceil, log
 import numpy as np
 
 from .model import Environment, InputError, ModelParams, Trajectory
-from .rng import (MASK64, absorb, absorb_array, derive_key, uniform01,
-                  uniform01_array, word, word_array)
+from .rng import (DRAW_BUDGET, MASK64, absorb, absorb_array, derive_key,
+                  uniform01, uniform01_array, word, word_array)
 
 
 class DepthExceededError(RuntimeError):
@@ -103,6 +105,15 @@ class SiteField:
         xi = (u[2] < self.beta).astype(np.uint8)
         return j, xi
 
+    def draw_columns(self, row_keys, times) -> tuple[np.ndarray, np.ndarray]:
+        """`draw` at all rows of the columns ``times``, time-major, from row keys
+        absorb(key, i).  Only the words used are hashed, so xi is 0 where j > 0."""
+        k = absorb_array(row_keys, times[:, None])
+        regen = uniform01_array(word_array(k, 0)) < self.lam
+        u = uniform01_array(word_array(k, 1 + regen))
+        j = np.where(regen, 0, np.minimum(self.n, 1 + (u * self.n).astype(np.int64)))
+        return j, ((u < self.beta) & regen).astype(np.uint8)
+
 
 def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw:
     """Deterministic (J, xi) draw attached to one space-time site."""
@@ -121,29 +132,21 @@ def _depth_bound(max_depth: int | None, lam: float) -> int:
     return max_depth
 
 
-def _walk(field: SiteField, z: tuple[int, int],
-          max_depth: int) -> tuple[list[int], int]:
-    """Sites visited from z = (i, t) at times t, t-1, ..., and the final xi."""
-    i, t = z
-    sites = [i]
-    for _ in range(max_depth):
-        j, xi = field.draw(i, t)
-        if j == 0:
-            return sites, xi
-        i, t = j - 1, t - 1
-        sites.append(i)
-    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
-                             f"{z}; increase max_depth or check lam")
-
-
 def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
                   max_depth: int | None = None) -> BackwardWalk:
     """Follow the neighbor labels backward from z until regeneration."""
     max_depth = _depth_bound(max_depth, params.lam)
-    sites, xi = _walk(SiteField(seed, params), z, max_depth)
-    path = tuple((i, z[1] - k) for k, i in enumerate(sites))
-    return BackwardWalk(start=z, path=path, regen_time=path[-1][1],
-                        regen_site=sites[-1], regen_value=xi)
+    field = SiteField(seed, params)
+    (i, t), path = z, []
+    for _ in range(max_depth):
+        path.append((i, t))
+        j, xi = field.draw(i, t)
+        if j == 0:
+            return BackwardWalk(start=z, path=tuple(path), regen_time=t,
+                                regen_site=i, regen_value=xi)
+        i, t = j - 1, t - 1
+    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
+                             f"{z}; increase max_depth or check lam")
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
@@ -152,7 +155,8 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
 
     Column 1 folds the copy rule forward along each site's backward walk
     (`DepthExceededError` if one takes more than `max_depth` draws); each later
-    column copies the one before it through one batch draw.
+    column is x_t = ((x_{t-1}[src] ^ F) & A) | xi, with the source src, the flip
+    F = (src inhibitory) and the edge-and-copy mask A made per chunk of columns.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -161,19 +165,32 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
-    size_plus = env.partition.size_plus
-    x = np.empty((env.n, t_len), dtype=np.uint8)
-    for i in range(env.n):
-        sites, v = _walk(field, (i, 1), max_depth)
+    n, lam, beta = env.n, params.lam, params.beta
+    size_plus, theta = env.partition.size_plus, env.theta
+    row_keys = [absorb(field.key, i) for i in range(n)]
+    x = np.empty((t_len, n), dtype=np.uint8)  # time-major
+    for i in range(n):
+        sites, t = [i], 1
+        for _ in range(max_depth):
+            k = absorb(row_keys[sites[-1]], t)
+            if uniform01(word(k, 0)) < lam:
+                break
+            sites.append(min(n, 1 + int(uniform01(word(k, 1)) * n)) - 1)
+            t -= 1
+        else:
+            raise DepthExceededError(f"no regeneration within {max_depth} steps "
+                                     f"from {(i, 1)}; increase max_depth or check lam")
+        v = 1 if uniform01(word(k, 2)) < beta else 0
         for dst, src in zip(sites[-2::-1], sites[:0:-1]):
-            v = v ^ (src >= size_plus) if env.theta[dst, src] else 0
-        x[i, 0] = v
-
-    rows = np.arange(env.n)
-    inhibitory = rows >= size_plus
-    for t in range(2, t_len + 1):
-        j, xi = field.draw_batch(field.key, rows, t)
-        src = np.maximum(j - 1, 0)  # regenerating sites take xi below
-        copied = env.theta[rows, src] & (x[src, t - 2] ^ inhibitory[src])
-        x[:, t - 1] = np.where(j == 0, xi, copied)
-    return Trajectory(x)
+            v = v ^ (src >= size_plus) if theta[dst, src] else 0
+        x[0, i] = v
+    if t_len > 1:  # one-column windows skip the numpy setup
+        rows, keys = np.arange(n), np.array(row_keys, dtype=np.uint64)
+        span = max(1, DRAW_BUDGET // n)
+        for lo in range(2, t_len + 1, span):
+            j, xi = field.draw_columns(keys, np.arange(lo, min(lo + span, t_len + 1)))
+            src = np.maximum(j - 1, 0)
+            copy, flip = theta[rows, src] & (j > 0), src >= size_plus
+            for t, (s, a, f, b) in enumerate(zip(src, copy, flip, xi), lo - 1):
+                x[t] = ((x[t - 1][s] ^ f) & a) | b
+    return Trajectory(x.T)

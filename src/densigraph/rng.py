@@ -37,6 +37,9 @@ _U01 = 2.0 ** -53
 _U1, _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (1, 11, 27, 30, 31))
 _UPHI, _UM1, _UM2 = np.uint64(_PHI), np.uint64(_M1), np.uint64(_M2)
 
+# Draws per batch call in both samplers: bounds the temporaries of one block.
+DRAW_BUDGET = 1 << 15
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -83,7 +86,7 @@ def absorb_array(state, values: np.ndarray) -> np.ndarray:
     """Vectorized `absorb`; `values` may be any integer dtype (negatives wrap)."""
     v = np.asarray(values, dtype=np.int64).astype(np.uint64)
     s = np.asarray(state, dtype=np.uint64)
-    return mix64_array((s + _UPHI) ^ v)
+    return _mix64_inplace(np.asarray((s + _UPHI) ^ v))
 
 
 def derive_key(seed: int, *parts: int | str) -> int:
@@ -102,11 +105,13 @@ def word(key: int, counter: int) -> int:
 
 
 def word_array(keys: np.ndarray, counter) -> np.ndarray:
-    """Vectorized `word` over an array of keys, one fixed counter.  A sequence
-    of counters stacks their words along a new leading axis in one pass."""
+    """Vectorized `word` over an array of keys.  ``counter`` is an int or an
+    integer array broadcast against the keys; a tuple of counters stacks their
+    words along a new leading axis in one pass."""
     k = np.asarray(keys, dtype=np.uint64)
     steps = (np.array(counter, dtype=np.uint64, ndmin=1) + _U1) * _UPHI  # wraps
-    return mix64_array(k + steps.reshape(np.shape(counter) + (1,) * k.ndim))
+    stack = (1,) * k.ndim if isinstance(counter, tuple) else ()
+    return _mix64_inplace(np.asarray(k + steps.reshape(np.shape(counter) + stack)))
 
 
 def uniform01(w: int) -> float:

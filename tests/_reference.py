@@ -2,13 +2,15 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops, deliberately sharing no code with the package beyond the keyed
-random stream, which fixes what the draws are.
+random streams, which fix what the draws are: `Stream` and the per-site draws
+of `SiteField` and `backward_walk`.
 """
 
 import math
 
 import numpy as np
 
+from densigraph.perfect import SiteField, backward_walk
 from densigraph.rng import Stream, derive_key
 
 
@@ -44,6 +46,29 @@ def simulate_reference(theta, size_plus, mu, lam, x0, t_len, burnin, seed):
     return out
 
 
+def perfect_sample_reference(env, params, t_len, seed):
+    """The exact stationary window: column 1 folds the copy rule forward along
+    each site's `backward_walk`; each later column is one
+    `SiteField.draw_batch` plus the copy rule."""
+    n, sp = env.n, env.partition.size_plus
+    x = np.empty((n, t_len), dtype=np.uint8)
+    for i in range(n):
+        walk = backward_walk(seed, params, (i, 1))
+        value = walk.regen_value
+        for (dst, _), (src, _) in zip(walk.path[-2::-1], walk.path[:0:-1]):
+            value = value ^ (src >= sp) if env.theta[dst, src] else 0
+        x[i, 0] = value
+    field = SiteField(seed, params)
+    rows = np.arange(n)
+    inhibitory = rows >= sp
+    for t in range(2, t_len + 1):
+        j, xi = field.draw_batch(field.key, rows, t)
+        src = np.maximum(j - 1, 0)  # regenerating sites take xi below
+        copied = env.theta[rows, src] & (x[src, t - 2] ^ inhibitory[src])
+        x[:, t - 1] = np.where(j == 0, xi, copied)
+    return x
+
+
 def trajectory_csv_reference(x):
     """Sparse trajectory text: a dimension line, a column header, then one
     1-based ``t,i,1`` row per firing cell in (t, i) order."""
@@ -53,6 +78,15 @@ def trajectory_csv_reference(x):
         for i in range(n):
             if x[i, t]:
                 lines.append(f"{t + 1},{i + 1},1\n")
+    return "".join(lines)
+
+
+def environment_text_reference(env):
+    """Environment text: a ``n size_plus p seed`` header, then one row of
+    0/1 characters per site, written cell by cell."""
+    lines = [f"{env.n} {env.partition.size_plus} {env.p!r} {env.seed}\n"]
+    for row in env.theta:
+        lines.append("".join("1" if v else "0" for v in row) + "\n")
     return "".join(lines)
 
 

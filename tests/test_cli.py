@@ -223,3 +223,12 @@ class TestOracle:
         assert lines[0] == "estimate,std_err"
         est, se = (float(v) for v in lines[1].split(","))
         assert 0.0 <= est <= 1.0 and se >= 0.0
+
+    def test_coalescence_site_out_of_range_exit_2(self, capsys):
+        assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
+                        "--i1", "99", "--t1", "0", "--i2", "1", "--t2", "-1",
+                        "--trials", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oracle error: site indices 99, 1 must lie in 0..9")
+        assert captured.err.count("\n") == 1

@@ -4,7 +4,7 @@ import pytest
 from densigraph import (ModelParams, build_partition, default_burnin,
                         sample_environment, simulate,
                         transition_probabilities, zero_state)
-from densigraph.forward import _DRAW_BUDGET
+from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment
 from densigraph.oracles import column_indices
 
@@ -113,7 +113,7 @@ def test_input_validation():
 
 def _block(n):
     """Steps whose uniforms `simulate` draws in one call."""
-    return max(1, _DRAW_BUDGET // n)
+    return max(1, DRAW_BUDGET // n)
 
 
 # (n, lam, r_plus, t_len, burnin), with t_len and burnin given as (k, d) for
@@ -135,7 +135,7 @@ KERNEL_CASES = [
 
 @pytest.mark.parametrize("n, lam, r_plus, t_len, burnin", KERNEL_CASES)
 def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
-    block = max(1, _DRAW_BUDGET // n)  # steps per Stream.uniforms call
+    block = max(1, DRAW_BUDGET // n)  # steps per Stream.uniforms call
     t_len, burnin = (k * block + d for k, d in (t_len, burnin))
     params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=r_plus, n=n)
     env = sample_environment(params, seed=n)

@@ -9,7 +9,8 @@ from densigraph import (Environment, InputError, ModelParams, Partition,
                         save_trajectory, transition_probabilities,
                         transition_probability)
 from densigraph import model
-from _reference import trajectory_csv_reference, transition_probability_loops
+from _reference import (environment_text_reference, trajectory_csv_reference,
+                        transition_probability_loops)
 
 
 def make_env(theta, r_plus=0.5):
@@ -203,6 +204,14 @@ class TestSerialization:
         assert loaded.partition == env.partition
         assert loaded.p == env.p and loaded.seed == env.seed
 
+    def test_environment_file_bytes_match_reference(self, tmp_path):
+        for n, p, seed in [(1, 1.0, 0), (3, 0.0, 1), (12, 0.3, 17), (200, 0.5, 2)]:
+            env = sample_environment(ModelParams(mu=0.1, lam=0.5, p=p, r_plus=0.6,
+                                                 n=n), seed=seed)
+            path = tmp_path / "env.txt"
+            save_environment(env, path)
+            assert path.read_bytes() == environment_text_reference(env).encode("ascii")
+
     def test_trajectory_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         traj = Trajectory(rng.integers(0, 2, size=(5, 9)).astype(np.uint8))
@@ -223,6 +232,25 @@ class TestSerialization:
         path = tmp_path / "traj.csv"
         path.write_text("# n=2 t_len=3\nt,i,x\n1,1,0\n3,2,1\n")
         assert load_trajectory(path).x.tolist() == [[0, 0, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("block", [1, 2, 1 << 16])
+    @pytest.mark.parametrize("body, line", [
+        ("1,1,1\n1,1,0\n2,1,1\n", 4),  # a cell set, then cleared
+        ("1,1,1\n2,2,1\n1,1,1\n", 5),  # out of file order
+        ("2,1,0\n1,2,1\n\n2,1,0\n3,2,1\n", 6),  # explicit zero rows count
+    ], ids=["cleared", "unordered", "zero-rows"])
+    def test_trajectory_repeated_cells_rejected(self, tmp_path, monkeypatch, block,
+                                                body, line):
+        monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
+        path = tmp_path / "traj.csv"
+        path.write_text("# n=2 t_len=3\nt,i,x\n" + body)
+        with pytest.raises(InputError, match=f"line {line}: .* repeats the cell"):
+            load_trajectory(path)
+        # The same rows without the repeat, in any order, load.
+        rows = body.splitlines()
+        del rows[line - 3]
+        path.write_text("# n=2 t_len=3\nt,i,x\n" + "\n".join(rows[::-1]) + "\n")
+        assert load_trajectory(path).x.sum() == sum(r.endswith(",1") for r in rows)
 
     @pytest.mark.parametrize("block", [2, 3, 1 << 16])
     def test_trajectory_file_bytes_match_reference(self, tmp_path, monkeypatch, block):

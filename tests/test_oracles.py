@@ -5,7 +5,7 @@ from densigraph import (ExactDistribution, ModelParams, Partition,
                         binomial_mixture_shat,
                         coalescence_probability_mc, covariance_mc,
                         exact_stationary, solve_m, tv_distance)
-from densigraph.model import Environment, sample_environment
+from densigraph.model import Environment, InputError, sample_environment
 from densigraph.oracles import (column_indices, config_index,
                                 empirical_distribution, transition_matrix)
 
@@ -111,6 +111,13 @@ class TestCoalescence:
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
         with pytest.raises(ValueError):
             coalescence_probability_mc(params, (1, 2), (1, 2), trials=10, seed=0)
+
+    @pytest.mark.parametrize("z1, z2", [((99, 0), (1, -1)), ((0, 0), (4, -1)),
+                                        ((-1, 0), (1, 0))])
+    def test_rejects_sites_outside_range(self, z1, z2):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(InputError, match="must lie in 0..3"):
+            coalescence_probability_mc(params, z1, z2, trials=10, seed=0)
 
     def test_deterministic(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)

@@ -8,8 +8,9 @@ from densigraph import (DepthExceededError, ModelParams, SiteField,
                         transition_probabilities, tv_distance)
 from densigraph.model import sample_environment
 from densigraph.oracles import column_indices, empirical_distribution
+from densigraph.rng import DRAW_BUDGET, absorb_array
 
-from _reference import binomial_sigma
+from _reference import binomial_sigma, perfect_sample_reference
 
 
 def small_params(n=3, lam=0.5, mu=0.25, r_plus=2 / 3, p=0.5):
@@ -263,3 +264,32 @@ class TestPerfectSample:
                    for i in range(3) for t in range(2, 40))
         traj = perfect_sample(env, params, 40, seed=seed, max_depth=1)
         assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
+
+
+class TestColumnChunks:
+    # Columns 2..400 at n=200 span three draw chunks: two chunk boundaries.
+    N, T_LEN = 200, 400
+
+    def params(self, lam):
+        assert self.T_LEN - 1 > 2 * (DRAW_BUDGET // self.N)
+        return ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=self.N)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.9])
+    def test_matches_per_column_reference(self, lam):
+        params = self.params(lam)
+        env = sample_environment(params, seed=11)
+        traj = perfect_sample(env, params, self.T_LEN, seed=12)
+        expect = perfect_sample_reference(env, params, self.T_LEN, seed=12)
+        assert np.array_equal(traj.x, expect)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.9])
+    def test_chunk_draw_matches_batch_draw(self, lam):
+        field = SiteField(12, self.params(lam))
+        rows, times = np.arange(self.N), np.arange(2, self.T_LEN + 1)
+        j, xi = field.draw_columns(absorb_array(field.key, rows), times)
+        j_batch, xi_batch = field.draw_batch(field.key, rows, times[:, None])
+        regen = j_batch == 0
+        assert regen.any() and not regen.all()
+        assert np.array_equal(j, j_batch)
+        assert np.array_equal(xi[regen], xi_batch[regen])
+        assert not xi[~regen].any()
