@@ -104,9 +104,6 @@ class Partition:
     def size_minus(self) -> int:
         return self.n - self.size_plus
 
-    def is_excitatory(self, j: int) -> bool:
-        return j < self.size_plus
-
     def sign_vector(self) -> np.ndarray:
         """+1 on excitatory sites, -1 on inhibitory sites."""
         s = np.ones(self.n)
@@ -191,8 +188,8 @@ def interaction_kernel(env: Environment, params: ModelParams):
     ``B`` is theta with inhibitory columns negated; ``base`` absorbs mu and
     the constant inhibitory contribution.  Entries of ``B @ x`` are exact
     small integers for binary x, so the result does not depend on summation
-    order.  The forward sampler and the fixed-point solves in `limits` all
-    build the signed kernel here.
+    order.  `transition_probabilities` and the fixed-point solves in `limits`
+    all build the signed kernel here.
     """
     sp = env.partition.size_plus
     theta = env.theta.astype(np.float64)

@@ -1,23 +1,21 @@
 """Exact sampling of the stationary law via backward regeneration.
 
-Each space-time site z = (i, t) carries an independent pair (J, xi):
+Each space-time site z = (i, t) reads one uniform u = uniform01(word(absorb(key,
+i), t)).  If u < lam the site regenerates (J = 0) with the value bit
+xi = [u < mu], Bernoulli(beta) given regeneration.  Otherwise
+J = 1 + floor((u - lam) n / (1 - lam)) is a uniform 1-based label, and the
+value copies site J-1 at time t-1 -- directly if the edge theta[i, J-1] is
+present and J-1 is excitatory, flipped if J-1 is inhibitory, and 0 if the
+edge is absent (the copy rule).
 
-  * with probability lam the site regenerates (J = 0) and its value is the
-    fresh Bernoulli(beta) bit xi;
-  * otherwise J picks one of the n sites uniformly (1-based label k, i.e.
-    site k-1), and the value copies the chosen site's value at time t-1 --
-    directly if the edge theta[i, k-1] is present and the source is
-    excitatory, flipped if the source is inhibitory, and 0 if the edge is
-    absent (the copy rule).
-
-Following J backward in time defines a walk that dies (regenerates) after a
-geometric(lam) number of steps, so every site's value is determined by
-finitely many draws, each a pure function of (seed, i, t).  Walking each site
-of the first window column back to its regeneration fixes that column; every
-later column is one copy step from the column before it.  The window is a
-sample of the stationary chain with no burn-in error.  Row keys absorb(key, i)
-are hashed once per call, columns 2..T are drawn in chunks of `DRAW_BUDGET`
-sites, and a site hashes word 0, then word 1 (source) or word 2 (xi) alone.
+Following J backward in time defines a walk that regenerates after a
+geometric(lam) number of steps, so every site's value is a function of
+finitely many draws.  Walking each site of the first window column back to
+its regeneration fixes that column; every later column is one copy step from
+the column before it (`_copy_columns`, which the forward sampler runs from
+its own start).  The window is a sample of the stationary chain with no
+burn-in error.  Row keys are hashed once per call, and columns are drawn in
+chunks of `DRAW_BUDGET` sites.
 """
 
 from __future__ import annotations
@@ -28,8 +26,11 @@ from math import ceil, log
 import numpy as np
 
 from .model import Environment, InputError, ModelParams, Trajectory
-from .rng import (DRAW_BUDGET, MASK64, absorb, absorb_array, derive_key,
+from .rng import (DRAW_BUDGET, absorb, absorb_array, derive_key, label64,
                   uniform01, uniform01_array, word, word_array)
+
+# Label of the site field's key, hashed once at import.
+_FIELD_LABEL = label64("site-field")
 
 
 class DepthExceededError(RuntimeError):
@@ -40,8 +41,9 @@ class DepthExceededError(RuntimeError):
 class SiteDraw:
     """Per-site randomness: neighbor label j (0 = regenerate) and value bit xi.
 
-    P(j = 0) = lam, P(j = k) = (1 - lam)/n for 1 <= k <= n, and xi is an
-    independent Bernoulli(beta) bit.
+    P(j = 0) = lam and P(j = k) = (1 - lam)/n for 1 <= k <= n.  Both come from
+    the site's one uniform, so xi is defined only where the site regenerates:
+    there it is Bernoulli(beta), elsewhere it is 0.
     """
 
     j: int
@@ -74,45 +76,36 @@ class SiteField:
     different sites see one shared field.
     """
 
-    __slots__ = ("key", "lam", "beta", "n")
+    __slots__ = ("key", "lam", "mu", "n", "scale")
 
     def __init__(self, seed: int, params: ModelParams):
-        self.key = derive_key(seed, "site-field")
-        self.lam = params.lam
-        self.beta = params.beta
-        self.n = params.n
+        self.key = derive_key(seed, _FIELD_LABEL)
+        self.lam, self.mu, self.n = params.lam, params.mu, params.n
+        # Spreads the copy branch [lam, 1) over labels 1..n; lam = 1 never copies.
+        self.scale = self.n / (1.0 - self.lam) if self.lam < 1.0 else 0.0
 
     def draw(self, i: int, t: int) -> tuple[int, int]:
         """(j, xi) at site (i, t); j uses the 0-= regenerate convention."""
-        k = absorb(absorb(self.key, i), t & MASK64)
-        if uniform01(word(k, 0)) < self.lam:
-            j = 0
-        else:
-            j = 1 + int(uniform01(word(k, 1)) * self.n)
-            if j > self.n:  # guard the u -> 1 float edge
-                j = self.n
-        xi = 1 if uniform01(word(k, 2)) < self.beta else 0
-        return j, xi
+        u = uniform01(word(absorb(self.key, i), t))
+        if u < self.lam:
+            return 0, int(u < self.mu)
+        return min(self.n, 1 + int((u - self.lam) * self.scale)), 0
 
     def draw_batch(self, keys, i, t) -> tuple[np.ndarray, np.ndarray]:
         """`draw` over arrays, bit for bit: int64 j and uint8 xi.  ``keys`` (the
         field key, or one per coalescence trial) broadcasts against i and t."""
-        k = absorb_array(absorb_array(keys, i), t)
-        u = uniform01_array(word_array(k, (0, 1, 2)))
-        j = 1 + (u[1] * self.n).astype(np.int64)
-        np.minimum(j, self.n, out=j)
-        j[u[0] < self.lam] = 0
-        xi = (u[2] < self.beta).astype(np.uint8)
-        return j, xi
+        return self._split(uniform01_array(word_array(absorb_array(keys, i), t)))
 
     def draw_columns(self, row_keys, times) -> tuple[np.ndarray, np.ndarray]:
         """`draw` at all rows of the columns ``times``, time-major, from row keys
-        absorb(key, i).  Only the words used are hashed, so xi is 0 where j > 0."""
-        k = absorb_array(row_keys, times[:, None])
-        regen = uniform01_array(word_array(k, 0)) < self.lam
-        u = uniform01_array(word_array(k, 1 + regen))
-        j = np.where(regen, 0, np.minimum(self.n, 1 + (u * self.n).astype(np.int64)))
-        return j, ((u < self.beta) & regen).astype(np.uint8)
+        absorb(key, i)."""
+        return self._split(uniform01_array(word_array(row_keys, times[:, None])))
+
+    def _split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        j = 1 + (np.maximum(u - self.lam, 0.0) * self.scale).astype(np.int64)
+        np.minimum(j, self.n, out=j)  # guards the u -> 1 float edge
+        j *= u >= self.lam
+        return j, (u < self.mu).view(np.uint8)
 
 
 def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw:
@@ -149,14 +142,38 @@ def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
                              f"{z}; increase max_depth or check lam")
 
 
+def _copy_columns(field: SiteField, env: Environment, x: np.ndarray, t0: int,
+                  row_keys: np.ndarray) -> None:
+    """Fill x[1:] of the time-major array x from x[0], the state at field time
+    t0: x[r] = ((x[r-1][src] ^ F) & A) | xi with the draws at field time t0 + r,
+    the source src, the flip F = (src inhibitory) and the edge-and-copy mask A.
+    Each chunk of columns precomputes G = (F & A) | xi, so that a column costs
+    one gather and two uint8 operations: x[r] = (x[r-1][src] & A) ^ G."""
+    n = env.n
+    flat = np.arange(0, n * n, n)  # row offsets into theta
+    span = max(1, DRAW_BUDGET // n)
+    for lo in range(1, len(x), span):
+        hi = min(lo + span, len(x))
+        j, xi = field.draw_columns(row_keys, np.arange(t0 + lo, t0 + hi))
+        src = j - 1
+        np.maximum(src, 0, out=src)
+        copy = np.take(env.theta, src + flat)
+        copy &= j > 0
+        gate = (src >= env.partition.size_plus).view(np.uint8)
+        gate &= copy
+        gate |= xi
+        for prev, cur, s, a, g in zip(x[lo - 1:], x[lo:hi], src, copy, gate):
+            np.bitwise_and(prev[s], a, out=cur)
+            cur ^= g
+
+
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
                    seed: int, max_depth: int | None = None) -> Trajectory:
     """Exact stationary sample on the window sites x times {1 .. t_len}.
 
     Column 1 folds the copy rule forward along each site's backward walk
     (`DepthExceededError` if one takes more than `max_depth` draws); each later
-    column is x_t = ((x_{t-1}[src] ^ F) & A) | xi, with the source src, the flip
-    F = (src inhibitory) and the edge-and-copy mask A made per chunk of columns.
+    column is one copy step from the column before it (`_copy_columns`).
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -165,32 +182,25 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
-    n, lam, beta = env.n, params.lam, params.beta
+    n, lam, mu, scale = env.n, field.lam, field.mu, field.scale
     size_plus, theta = env.partition.size_plus, env.theta
     row_keys = [absorb(field.key, i) for i in range(n)]
     x = np.empty((t_len, n), dtype=np.uint8)  # time-major
     for i in range(n):
         sites, t = [i], 1
         for _ in range(max_depth):
-            k = absorb(row_keys[sites[-1]], t)
-            if uniform01(word(k, 0)) < lam:
+            u = uniform01(word(row_keys[sites[-1]], t))
+            if u < lam:
                 break
-            sites.append(min(n, 1 + int(uniform01(word(k, 1)) * n)) - 1)
+            sites.append(min(n, 1 + int((u - lam) * scale)) - 1)
             t -= 1
         else:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
                                      f"from {(i, 1)}; increase max_depth or check lam")
-        v = 1 if uniform01(word(k, 2)) < beta else 0
+        v = int(u < mu)
         for dst, src in zip(sites[-2::-1], sites[:0:-1]):
             v = v ^ (src >= size_plus) if theta[dst, src] else 0
         x[0, i] = v
     if t_len > 1:  # one-column windows skip the numpy setup
-        rows, keys = np.arange(n), np.array(row_keys, dtype=np.uint64)
-        span = max(1, DRAW_BUDGET // n)
-        for lo in range(2, t_len + 1, span):
-            j, xi = field.draw_columns(keys, np.arange(lo, min(lo + span, t_len + 1)))
-            src = np.maximum(j - 1, 0)
-            copy, flip = theta[rows, src] & (j > 0), src >= size_plus
-            for t, (s, a, f, b) in enumerate(zip(src, copy, flip, xi), lo - 1):
-                x[t] = ((x[t - 1][s] ^ f) & a) | b
+        _copy_columns(field, env, x, 1, np.array(row_keys, dtype=np.uint64))
     return Trajectory(x.T)

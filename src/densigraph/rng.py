@@ -69,7 +69,7 @@ def _mix64_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _label64(label: str) -> int:
+def label64(label: str) -> int:
     """FNV-1a hash of a string label (stable across runs and platforms)."""
     h = _FNV_OFFSET
     for b in label.encode("utf-8"):
@@ -94,7 +94,7 @@ def derive_key(seed: int, *parts: int | str) -> int:
     state = mix64((seed & MASK64) ^ _DOMAIN)
     for part in parts:
         if isinstance(part, str):
-            part = _label64(part)
+            part = label64(part)
         state = absorb(state, part)
     return state
 
@@ -106,12 +106,12 @@ def word(key: int, counter: int) -> int:
 
 def word_array(keys: np.ndarray, counter) -> np.ndarray:
     """Vectorized `word` over an array of keys.  ``counter`` is an int or an
-    integer array broadcast against the keys; a tuple of counters stacks their
-    words along a new leading axis in one pass."""
+    integer array broadcast against the keys; negative counters wrap as in
+    `word`."""
     k = np.asarray(keys, dtype=np.uint64)
-    steps = (np.array(counter, dtype=np.uint64, ndmin=1) + _U1) * _UPHI  # wraps
-    stack = (1,) * k.ndim if isinstance(counter, tuple) else ()
-    return _mix64_inplace(np.asarray(k + steps.reshape(np.shape(counter) + stack)))
+    c = np.array(counter, dtype=np.int64, ndmin=1).astype(np.uint64)
+    steps = ((c + _U1) * _UPHI).reshape(np.shape(counter))  # wraps silently
+    return _mix64_inplace(np.asarray(k + steps))
 
 
 def uniform01(w: int) -> float:

@@ -2,8 +2,8 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops, deliberately sharing no code with the package beyond the keyed
-random streams, which fix what the draws are: `Stream` and the per-site draws
-of `SiteField` and `backward_walk`.
+random draws, which fix what the draws are: the per-site draws of `SiteField`
+and `backward_walk`.
 """
 
 import math
@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from densigraph.perfect import SiteField, backward_walk
-from densigraph.rng import Stream, derive_key
 
 
 def transition_probability_loops(theta, size_plus, mu, lam, x, i):
@@ -27,22 +26,29 @@ def transition_probability_loops(theta, size_plus, mu, lam, x, i):
     return mu + (1 - lam) * (plus_sum / n + minus_sum / n)
 
 
-def simulate_reference(theta, size_plus, mu, lam, x0, t_len, burnin, seed):
-    """The forward chain one step at a time: a float64 matvec and one
-    ``uniforms(n)`` call per step, recording the last t_len steps."""
-    n = len(x0)
-    signed = np.array(theta, dtype=np.float64)
-    signed[:, size_plus:] *= -1.0
-    coef = (1.0 - lam) / n
-    base = mu + coef * np.array(theta, dtype=np.float64)[:, size_plus:].sum(axis=1)
-    stream = Stream(derive_key(seed, "forward-sim"))
-    x = np.array(x0, dtype=np.float64)
+def simulate_reference(env, params, x0, t_len, burnin, seed):
+    """The forward chain one site at a time from `SiteField.draw`: ``x0`` is
+    the state at field time -burnin; at each later time a site takes xi if it
+    regenerates (j == 0), else the value of site j-1 one time earlier through
+    the edge theta[i, j-1], flipped if j-1 is inhibitory.  Records times
+    1..t_len."""
+    n, sp = env.n, env.partition.size_plus
+    field = SiteField(seed, params)
+    x = [int(v) for v in x0]
     out = np.empty((n, t_len), dtype=np.uint8)
-    for k in range(burnin + t_len):
-        bits = stream.uniforms(n) < base + coef * (signed @ x)
-        x = bits.astype(np.float64)
-        if k >= burnin:
-            out[:, k - burnin] = bits
+    for t in range(1 - burnin, t_len + 1):
+        nxt = []
+        for i in range(n):
+            j, xi = field.draw(i, t)
+            if j == 0:
+                nxt.append(xi)
+            elif env.theta[i, j - 1]:
+                nxt.append(x[j - 1] ^ (j - 1 >= sp))
+            else:
+                nxt.append(0)
+        x = nxt
+        if t >= 1:
+            out[:, t - 1] = x
     return out
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from densigraph import (ModelParams, build_partition, default_burnin,
-                        sample_environment, simulate,
-                        transition_probabilities, zero_state)
+from densigraph import (ModelParams, backward_walk, build_partition,
+                        default_burnin, perfect_sample, sample_environment,
+                        simulate, transition_probabilities, zero_state)
 from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment
 from densigraph.oracles import column_indices
@@ -112,7 +112,7 @@ def test_input_validation():
 
 
 def _block(n):
-    """Steps whose uniforms `simulate` draws in one call."""
+    """Steps whose site draws `simulate` makes in one call."""
     return max(1, DRAW_BUDGET // n)
 
 
@@ -133,15 +133,68 @@ KERNEL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("n, lam, r_plus, t_len, burnin", KERNEL_CASES)
-def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
-    block = max(1, DRAW_BUDGET // n)  # steps per Stream.uniforms call
-    t_len, burnin = (k * block + d for k, d in (t_len, burnin))
-    params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=r_plus, n=n)
+def _check_against_reference(n, mu, lam, r_plus, t_len, burnin):
+    params = ModelParams(mu=mu, lam=lam, p=0.5, r_plus=r_plus, n=n)
     env = sample_environment(params, seed=n)
     x0 = (np.arange(n) % 3 == 1).astype(np.uint8)
     got = simulate(env, params, x0, t_len, burnin=burnin, seed=t_len)
-    want = simulate_reference(env.theta, env.partition.size_plus, params.mu,
-                              lam, x0, t_len, burnin, seed=t_len)
+    want = simulate_reference(env, params, x0, t_len, burnin, seed=t_len)
     assert got.x.shape == (n, t_len)
     assert np.array_equal(got.x, want)
+
+
+# The name dates from the float32 matvec kernel, when the reference was a
+# float64 matvec per step; it is kept so that the case ids stay stable.  The
+# reference now steps the copy rule one site at a time from `SiteField.draw`.
+@pytest.mark.parametrize("n, lam, r_plus, t_len, burnin", KERNEL_CASES)
+def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
+    t_len, burnin = (k * _block(n) + d for k, d in (t_len, burnin))
+    _check_against_reference(n, 0.4 * lam, lam, r_plus, t_len, burnin)
+
+
+@pytest.mark.parametrize("n, mu, lam, t_len, burnin", [
+    (50, 0.3, 1.0, 700, 3),      # lam = 1: every site regenerates
+    (50, 0.0, 0.5, 700, 3),      # mu = 0: regenerations are silent
+    (50, 0.3, 0.3, 700, 3),      # mu = lam: regenerations fire
+    (7, 0.0, 0.05, 40, 0),       # long walks, no burn-in
+    (5, 0.1, 0.2, 1, 9),         # burn-in runs one step at a time
+    (50, 0.1, 0.25, 30, 100),    # burn-in in four passes, the last partial
+])
+def test_matches_scalar_reference_at_corners(n, mu, lam, t_len, burnin):
+    _check_against_reference(n, mu, lam, 0.5, t_len, burnin)
+
+
+GRAND_COUPLING_CASES = [(lam, n, start) for lam in (0.2, 0.5, 0.9)
+                        for n in (3, 50, 500) for start in (0, 1)]
+
+
+@pytest.mark.parametrize("lam, n, start", GRAND_COUPLING_CASES)
+def test_grand_coupling_with_perfect_sampler(lam, n, start):
+    # With the default burn-in every first-column backward walk regenerates
+    # after time -burnin, so x0 is forgotten and the window is the exact one.
+    params = ModelParams(mu=0.5 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
+    env = sample_environment(params, seed=n)
+    x0 = np.full(n, start, dtype=np.uint8)
+    for seed in range(5):
+        forward = simulate(env, params, x0, 300, burnin=default_burnin(lam), seed=seed)
+        exact = perfect_sample(env, params, 300, seed=seed)
+        assert np.array_equal(forward.x, exact.x)
+
+
+def test_short_burnin_misses_only_walks_that_outlive_it():
+    # A cell can differ from the exact window only if its backward walk
+    # reaches x0's time -burnin, i.e. regenerates before time 1 - burnin.
+    params = ModelParams(mu=0.1, lam=0.2, p=0.5, r_plus=0.5, n=50)
+    env = sample_environment(params, seed=3)
+    burnin, differ = 5, 0
+    for seed in range(10):
+        exact = perfect_sample(env, params, 300, seed=seed).x
+        for start in (0, 1):
+            forward = simulate(env, params, np.full(50, start, dtype=np.uint8),
+                               300, burnin=burnin, seed=seed).x
+            cells = np.argwhere(forward != exact)
+            differ += len(cells)
+            for i, t in cells:
+                walk = backward_walk(seed, params, (int(i), int(t) + 1))
+                assert walk.regen_time < 1 - burnin
+    assert differ > 0

@@ -44,8 +44,11 @@ class TestSiteDraw:
         assert abs((js == 0).mean() - 0.5) <= 3 * binomial_sigma(0.5, draws)
         for k in range(1, 11):
             assert abs((js == k).mean() - 0.05) <= 3 * binomial_sigma(0.05, draws)
+        # xi is drawn only where the site regenerates: Bernoulli(beta) there.
+        assert not xis[js > 0].any()
+        regen = xis[js == 0]
         beta = params.beta
-        assert abs(xis.mean() - beta) <= 3 * binomial_sigma(beta, draws)
+        assert abs(regen.mean() - beta) <= 3 * binomial_sigma(beta, regen.size)
 
     def test_batch_matches_scalar(self):
         params = ModelParams(mu=0.1, lam=0.4, p=0.5, r_plus=0.5, n=6)
