@@ -11,8 +11,14 @@ Zbar[t] = mean_i Z[i, t] (with Zbar[0] = 0):
         W_D = n/T * sum_{k=1}^{floor(T/D)} (Zbar[kD] - Zbar[(k-1)D] - D m_hat)^2
 
 D (``delta``) is a tuning block length.  The trailing partial block of W_D is
-discarded.  All cumulative sums are computed in int64 before any division, so
-the statistics are reproducible to rounding error.
+discarded.  All sums are exact integers (int64, or uint16 where they cannot
+pass 2^16 - 1) before any division, so the statistics are reproducible to
+rounding error.
+
+`estimate_all` reads the trajectory once per axis: the per-time totals give
+n * Zbar, whose one cumsum serves m_hat, W_D and W_2D, and the per-site totals
+give v_hat.  The per-statistic functions compute each statistic on its own
+and are kept as its test oracles; `estimate_all` equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +48,28 @@ def _site_average_counts(traj: Trajectory) -> np.ndarray:
     return np.cumsum(traj.x.sum(axis=0, dtype=np.int64))
 
 
+def _axis_counts(x: np.ndarray, axis: int) -> np.ndarray:
+    """Signals per line of a 0/1 matrix summed over `axis`, exact, int64.
+    Sums below 2^16 accumulate in uint16, several times faster than int64."""
+    narrow = x.shape[axis] < 1 << 16
+    return x.sum(axis=axis, dtype=np.uint16 if narrow else np.int64).astype(np.int64)
+
+
+def _check_delta(delta: int, t_len: int) -> None:
+    """Reject a block length outside [1, floor(T/2)] for W_delta."""
+    if not 1 <= delta <= t_len // 2:
+        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
+
+
+def _check_double_delta(delta: int, t_len: int) -> None:
+    """Reject a block length whose W_{2 delta} has no full block pair."""
+    if delta < 1 or 2 * delta > t_len // 2:
+        raise InputError(
+            f"delta={delta} too large: need 2*delta <= {t_len // 2} "
+            f"for T={t_len}"
+        )
+
+
 def spatio_temporal_mean(traj: Trajectory) -> float:
     """Fraction of (site, time) cells carrying a signal."""
     t_len = traj.t_len
@@ -51,8 +79,12 @@ def spatio_temporal_mean(traj: Trajectory) -> float:
 
 def spatial_variance(traj: Trajectory) -> float:
     """Across-site dispersion of the final cumulative counts."""
-    n, t = traj.n, traj.t_len
-    z_final = traj.x.sum(axis=1, dtype=np.int64)
+    return _spatial_variance(traj.x.sum(axis=1, dtype=np.int64), traj.t_len)
+
+
+def _spatial_variance(z_final: np.ndarray, t: int) -> float:
+    """`spatial_variance` from the per-site totals Z[i, T]."""
+    n = len(z_final)
     sum_sq = int((z_final * z_final).sum())
     zbar = int(z_final.sum()) / n
     inner = sum_sq / n - (t / (t + 1)) * (zbar + zbar * zbar)
@@ -61,11 +93,13 @@ def spatial_variance(traj: Trajectory) -> float:
 
 def w_delta(traj: Trajectory, delta: int) -> float:
     """Block-increment variance W_delta of the site-averaged counts."""
-    t_len = traj.t_len
-    if not 1 <= delta <= t_len // 2:
-        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
-    n = traj.n
-    totals = _site_average_counts(traj)
+    _check_delta(delta, traj.t_len)
+    return _w_delta(_site_average_counts(traj), traj.n, delta)
+
+
+def _w_delta(totals: np.ndarray, n: int, delta: int) -> float:
+    """`w_delta` from the per-time totals n * Zbar[t] of `_site_average_counts`."""
+    t_len = len(totals)
     m_hat = totals[-1] / (n * t_len)
     k = t_len // delta
     marks = totals[delta - 1: k * delta: delta] / n
@@ -76,11 +110,7 @@ def w_delta(traj: Trajectory, delta: int) -> float:
 
 def temporal_variance(traj: Trajectory, delta: int) -> float:
     """Bias-corrected combination 2 W_{2 delta} - W_delta."""
-    if delta < 1 or 2 * delta > traj.t_len // 2:
-        raise InputError(
-            f"delta={delta} too large: need 2*delta <= {traj.t_len // 2} "
-            f"for T={traj.t_len}"
-        )
+    _check_double_delta(delta, traj.t_len)
     return 2.0 * w_delta(traj, 2 * delta) - w_delta(traj, delta)
 
 
@@ -96,17 +126,22 @@ def default_delta(t_len: int, mode: str = "one") -> int:
 
 
 def estimate_all(traj: Trajectory, delta: int) -> MomentEstimates:
-    """All three statistics on one trajectory, sharing a block length."""
-    wd = w_delta(traj, delta)  # validates delta range
-    if 2 * delta > traj.t_len // 2:
-        raise InputError(
-            f"delta={delta} too large: need 2*delta <= {traj.t_len // 2} "
-            f"for T={traj.t_len}"
-        )
-    w2d = w_delta(traj, 2 * delta)
+    """All three statistics on one trajectory, sharing a block length.
+
+    Bit for bit the per-statistic functions, from one reduction per axis:
+    the per-time totals (whose cumsum serves m_hat, W_delta and W_{2 delta})
+    and the per-site totals (v_hat).
+    """
+    t_len = traj.t_len
+    _check_delta(delta, t_len)
+    _check_double_delta(delta, t_len)
+    n = traj.n
+    totals = np.cumsum(_axis_counts(traj.x, 0))
+    wd = _w_delta(totals, n, delta)
+    w2d = _w_delta(totals, n, 2 * delta)
     return MomentEstimates(
-        m_hat=spatio_temporal_mean(traj),
-        v_hat=spatial_variance(traj),
+        m_hat=int(totals[-1]) / (n * t_len),
+        v_hat=_spatial_variance(_axis_counts(traj.x, 1), t_len),
         w_hat=2.0 * w2d - wd,
         delta=delta,
         w_delta=wd,

@@ -78,6 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.delta_mode not in ("one", "log", "fixed"):
             raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
+        if self.delta_mode == "fixed" and 2 * self.delta_value > self.t_grid[0] // 2:
+            raise ConfigError(
+                f"delta={self.delta_value} too large: need 2*delta <= "
+                f"{self.t_grid[0] // 2} for the shortest T={self.t_grid[0]}")
         if self.vary_name is not None:
             if self.vary_name not in VARYABLE:
                 raise ConfigError(f"cannot vary {self.vary_name!r}")

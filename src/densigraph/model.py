@@ -21,7 +21,7 @@ from math import ceil
 
 import numpy as np
 
-from .rng import Stream, derive_key
+from .rng import DRAW_BUDGET, Stream, derive_key
 
 # Trajectory rows formatted or parsed per block: bounds the text held in memory.
 _ROWS_PER_BLOCK = 1 << 16
@@ -152,14 +152,18 @@ class Environment:
 def sample_environment(params: ModelParams, seed: int) -> Environment:
     """Draw theta with i.i.d. Bernoulli(p) entries, row-major draw order.
 
-    Identical (params, seed) pairs produce bit-identical matrices.
+    Identical (params, seed) pairs produce bit-identical matrices.  The
+    stream is drawn in blocks of `DRAW_BUDGET` uniforms, each compared
+    straight into theta, so no n^2-sized temporary is made.
     """
     n = params.n
     stream = Stream(derive_key(seed, "environment"))
-    u = stream.uniforms(n * n)
-    theta = (u < params.p).astype(np.uint8).reshape(n, n)
+    theta = np.empty(n * n, dtype=np.uint8)
+    for lo in range(0, n * n, DRAW_BUDGET):
+        block = theta[lo:lo + DRAW_BUDGET]
+        np.less(stream.uniforms(block.size), params.p, out=block)
     return Environment(
-        theta=theta,
+        theta=theta.reshape(n, n),
         partition=build_partition(n, params.r_plus),
         p=params.p,
         seed=seed,

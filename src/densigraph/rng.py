@@ -84,9 +84,21 @@ def absorb(state: int, value: int) -> int:
 
 def absorb_array(state, values: np.ndarray) -> np.ndarray:
     """Vectorized `absorb`; `values` may be any integer dtype (negatives wrap)."""
-    v = np.asarray(values, dtype=np.int64).astype(np.uint64)
-    s = np.asarray(state, dtype=np.uint64)
-    return _mix64_inplace(np.asarray((s + _UPHI) ^ v))
+    v = _as_words(values)
+    if isinstance(state, int):
+        s = np.uint64((state + _PHI) & MASK64)
+    else:
+        s = np.asarray(state, dtype=np.uint64) + _UPHI
+    return _mix64_inplace(np.asarray(s ^ v))
+
+
+def _as_words(values) -> np.ndarray:
+    """Integers as uint64 words, two's complement for negatives; a uint64
+    array passes through uncopied."""
+    v = np.asarray(values)
+    if v.dtype != np.uint64:
+        v = v.astype(np.int64, copy=False).view(np.uint64)
+    return v
 
 
 def derive_key(seed: int, *parts: int | str) -> int:
@@ -109,8 +121,10 @@ def word_array(keys: np.ndarray, counter) -> np.ndarray:
     integer array broadcast against the keys; negative counters wrap as in
     `word`."""
     k = np.asarray(keys, dtype=np.uint64)
-    c = np.array(counter, dtype=np.int64, ndmin=1).astype(np.uint64)
-    steps = ((c + _U1) * _UPHI).reshape(np.shape(counter))  # wraps silently
+    if isinstance(counter, int):
+        steps = np.uint64(((counter + 1) * _PHI) & MASK64)
+    else:  # a ufunc, unlike scalar arithmetic, wraps silently
+        steps = np.multiply(_as_words(counter) + _U1, _UPHI)
     return _mix64_inplace(np.asarray(k + steps))
 
 

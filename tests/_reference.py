@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from densigraph.perfect import SiteField, backward_walk
+from densigraph.rng import Stream, derive_key
 
 
 def transition_probability_loops(theta, size_plus, mu, lam, x, i):
@@ -24,6 +25,14 @@ def transition_probability_loops(theta, size_plus, mu, lam, x, i):
         else:
             minus_sum += theta[i][j] * (1 - x[j])
     return mu + (1 - lam) * (plus_sum / n + minus_sum / n)
+
+
+def sample_environment_reference(params, seed):
+    """theta from one draw of all n*n uniforms of the environment stream,
+    compared with p at once, row-major."""
+    n = params.n
+    u = Stream(derive_key(seed, "environment")).uniforms(n * n)
+    return (u < params.p).astype(np.uint8).reshape(n, n)
 
 
 def simulate_reference(env, params, x0, t_len, burnin, seed):

@@ -1,7 +1,7 @@
 import pytest
 
 from densigraph import estimate_all, load_environment, load_trajectory
-from densigraph import cli
+from densigraph import cli, experiment
 from densigraph.cli import main
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 
@@ -41,6 +41,22 @@ class TestRun:
             args = [a for kv in bad + ["n_simu=1", "t_grid=8"]
                     for a in ("--set", kv)]
             assert run_cli(["run", *args, "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_oversized_delta_rejected_before_any_replica(self, tmp_path, monkeypatch,
+                                                         capsys, jobs):
+        def no_replica(*args):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr(experiment, "_replica_rows", no_replica)
+        code = run_cli(["run", "--set", "delta=100", "--set", "t_grid=250,2000",
+                        "--jobs", jobs, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run error: delta=100 too large")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
     def test_runs_without_config_file(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,56 @@ class TestEstimateAll:
     def test_too_short_trajectory_errors(self):
         with pytest.raises(ValueError):
             estimate_all(traj([[1, 0], [0, 1]]), 1)
+
+    def test_rejects_either_delta_bound_before_any_work(self):
+        t = traj(np.zeros((2, 10)))
+        with pytest.raises(ValueError, match="must lie in"):
+            estimate_all(t, 0)
+        with pytest.raises(ValueError, match="must lie in"):
+            estimate_all(t, 6)
+        with pytest.raises(ValueError, match="too large"):
+            estimate_all(t, 3)  # W_3 exists, W_6 does not
+        estimate_all(t, 2)
+
+    # Odd T, T not a multiple of 2 delta, n = 1, and the log block length.
+    @pytest.mark.parametrize("n, t_len, delta", [
+        (7, 29, 2), (1, 40, 3), (1, 9, 1), (13, 101, "log"), (30, 250, 4),
+        (5, 2001, "log"), (500, 257, 1)])
+    def test_bit_identical_to_per_statistic_functions(self, n, t_len, delta):
+        if delta == "log":
+            delta = default_delta(t_len, "log")
+        rng = np.random.default_rng(n * t_len)
+        t = traj(rng.random((n, t_len)) < rng.uniform(0.1, 0.9))
+        est = estimate_all(t, delta)
+        assert est.m_hat == spatio_temporal_mean(t)
+        assert est.v_hat == spatial_variance(t)
+        assert est.w_delta == w_delta(t, delta)
+        assert est.w_2delta == w_delta(t, 2 * delta)
+        assert est.w_hat == temporal_variance(t, delta)
+
+    @pytest.mark.parametrize("shape", [(2**16 + 8, 8), (1, 2**16 + 8)])
+    def test_sums_past_the_uint16_range_stay_exact(self, shape):
+        # The per-time (first shape) or per-site (second) sums exceed 2^16 - 1.
+        x = np.ones(shape, dtype=np.uint8)
+        x.flat[:3] = 0
+        t = traj(x)
+        est = estimate_all(t, 2)
+        assert est.m_hat == spatio_temporal_mean(t)
+        assert est.v_hat == spatial_variance(t)
+        assert est.w_hat == temporal_variance(t, 2)
+
+    def test_memory_peak_at_paper_scale(self):
+        # A widened (int64) copy of the 500 x 2000 trajectory would take 8 MB.
+        rng = np.random.default_rng(9)
+        t = traj(rng.random((500, 2000)) < 0.4)
+        estimate_all(t, 1)
+        tracemalloc.start()
+        try:
+            estimate_all(t, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestProperties:

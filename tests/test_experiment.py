@@ -65,6 +65,12 @@ class TestConfigParsing:
             parse_config_text("", ["vary=n", "vary_values=50,100.7"])
         with pytest.raises(ConfigError):
             parse_config_text("", ["vary=p", "vary_values=0.3,1.5"])  # p > 1
+        # A fixed delta needs 2*delta <= floor(T/2) at the shortest horizon.
+        parse_config_text("", ["delta=31", "t_grid=125,2000"])
+        with pytest.raises(ConfigError, match="delta=32 too large"):
+            parse_config_text("", ["delta=32", "t_grid=125,2000"])
+        with pytest.raises(ConfigError):
+            parse_config_text("", ["delta=63", "t_grid=250"])
 
     def test_params_for_vary(self):
         config = parse_config_text("", ["vary=lambda", "vary_values=0.4,0.8"])

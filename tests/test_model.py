@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,9 @@ from densigraph import (Environment, InputError, ModelParams, Partition,
                         save_trajectory, transition_probabilities,
                         transition_probability)
 from densigraph import model
-from _reference import (environment_text_reference, trajectory_csv_reference,
-                        transition_probability_loops)
+from densigraph.rng import DRAW_BUDGET
+from _reference import (environment_text_reference, sample_environment_reference,
+                        trajectory_csv_reference, transition_probability_loops)
 
 
 def make_env(theta, r_plus=0.5):
@@ -102,6 +104,30 @@ class TestSampleEnvironment:
         params = ModelParams(mu=0.1, lam=0.5, p=0.3, r_plus=0.6, n=8)
         env = sample_environment(params, seed=17)
         assert env.p == 0.3 and env.seed == 17
+
+    # n * n falls below, on both sides of and well above one draw block:
+    # 181^2 < DRAW_BUDGET = 2^15 < 182^2.
+    @pytest.mark.parametrize("n", [1, 2, 181, 182, 500])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_block_draw_matches_one_shot_draw(self, n, p):
+        assert 181 ** 2 < DRAW_BUDGET < 182 ** 2
+        params = ModelParams(mu=0.1, lam=0.5, p=p, r_plus=0.5, n=n)
+        env = sample_environment(params, seed=23)
+        assert env.theta.dtype == np.uint8
+        assert np.array_equal(env.theta, sample_environment_reference(params, 23))
+
+    def test_memory_peak_at_paper_scale(self):
+        # The one-shot draw peaked at about 6 MB of n^2-sized temporaries;
+        # blocks bound them by DRAW_BUDGET draws.
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=500)
+        sample_environment(params, seed=1)
+        tracemalloc.start()
+        try:
+            sample_environment(params, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestTransitionProbability:
