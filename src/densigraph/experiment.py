@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import default_delta, estimate_all
+from .estimators import _check_double_delta, default_delta, estimate_all
 from .forward import default_burnin, simulate, zero_state
 from .inversion import InversionResult, forward_map_values, invert
 from .limits import limit_inversion, limits
@@ -78,10 +78,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.delta_mode not in ("one", "log", "fixed"):
             raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
-        if self.delta_mode == "fixed" and 2 * self.delta_value > self.t_grid[0] // 2:
-            raise ConfigError(
-                f"delta={self.delta_value} too large: need 2*delta <= "
-                f"{self.t_grid[0] // 2} for the shortest T={self.t_grid[0]}")
+        if self.delta_mode == "fixed":
+            try:  # the shortest horizon bounds a fixed delta
+                _check_double_delta(self.delta_value, self.t_grid[0])
+            except InputError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.vary_name is not None:
             if self.vary_name not in VARYABLE:
                 raise ConfigError(f"cannot vary {self.vary_name!r}")

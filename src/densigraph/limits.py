@@ -16,10 +16,8 @@ inversion pipeline gives the environment-level parameter estimates that
 finite-T estimates converge to.
 
 Both systems are solved by fixed-point iteration (contraction factor at most
-1 - lam) on the signed kernel of `model.interaction_kernel`.  `limits` builds
-that float64 n x n kernel once and hands it to both solves; the public
-`solve_m` and `solve_c` each build their own.  A dense LU solve of the same
-kernel is kept as a cross-check of the iteration.
+1 - lam) on the signed kernel of `model.interaction_kernel`; a dense LU solve
+of the same kernel is kept as a cross-check of the iteration.
 """
 
 from __future__ import annotations
@@ -71,35 +69,23 @@ def _iterate(apply_map, x0: np.ndarray, lam: float,
 def solve_m(env: Environment, params: ModelParams,
             tol: float = FIXED_POINT_TOL) -> np.ndarray:
     """Per-site stationary firing probabilities, sup-norm residual < ~tol."""
-    return _solve_m(interaction_kernel(env, params), params, tol)
+    base, signed, coef = interaction_kernel(env, params)
+
+    def apply_map(x):
+        return base + coef * (signed @ x)
+
+    return _iterate(apply_map, np.full(env.n, params.mu), params.lam, tol)
 
 
 def solve_c(env: Environment, params: ModelParams,
             tol: float = FIXED_POINT_TOL) -> np.ndarray:
     """Resolvent column sums: c = 1 + (1-lam) A^T c; |c_i| <= 1/lam."""
-    return _solve_c(interaction_kernel(env, params), params, tol)
-
-
-def _solve_m(kernel, params: ModelParams,
-             tol: float = FIXED_POINT_TOL) -> np.ndarray:
-    """`solve_m` on a prebuilt `interaction_kernel`."""
-    base, signed, coef = kernel
-
-    def apply_map(x):
-        return base + coef * (signed @ x)
-
-    return _iterate(apply_map, np.full(len(base), params.mu), params.lam, tol)
-
-
-def _solve_c(kernel, params: ModelParams,
-             tol: float = FIXED_POINT_TOL) -> np.ndarray:
-    """`solve_c` on a prebuilt `interaction_kernel`."""
-    _, signed, coef = kernel
+    _, signed, coef = interaction_kernel(env, params)
 
     def apply_map(x):
         return 1.0 + coef * (x @ signed)
 
-    return _iterate(apply_map, np.ones(len(signed)), params.lam, tol)
+    return _iterate(apply_map, np.ones(env.n), params.lam, tol)
 
 
 def solve_m_dense(env: Environment, params: ModelParams) -> np.ndarray:
@@ -115,10 +101,7 @@ def solve_c_dense(env: Environment, params: ModelParams) -> np.ndarray:
 
 
 def environment_solution(env: Environment, params: ModelParams) -> EnvironmentSolution:
-    """Both fixed points, solved on one shared `interaction_kernel`."""
-    kernel = interaction_kernel(env, params)
-    return EnvironmentSolution(m_vec=_solve_m(kernel, params),
-                               c_vec=_solve_c(kernel, params))
+    return EnvironmentSolution(m_vec=solve_m(env, params), c_vec=solve_c(env, params))
 
 
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:

@@ -84,12 +84,8 @@ def absorb(state: int, value: int) -> int:
 
 def absorb_array(state, values: np.ndarray) -> np.ndarray:
     """Vectorized `absorb`; `values` may be any integer dtype (negatives wrap)."""
-    v = _as_words(values)
-    if isinstance(state, int):
-        s = np.uint64((state + _PHI) & MASK64)
-    else:
-        s = np.asarray(state, dtype=np.uint64) + _UPHI
-    return _mix64_inplace(np.asarray(s ^ v))
+    s = np.asarray(state, dtype=np.uint64)
+    return _mix64_inplace(np.asarray((s + _UPHI) ^ _as_words(values)))
 
 
 def _as_words(values) -> np.ndarray:
@@ -121,10 +117,8 @@ def word_array(keys: np.ndarray, counter) -> np.ndarray:
     integer array broadcast against the keys; negative counters wrap as in
     `word`."""
     k = np.asarray(keys, dtype=np.uint64)
-    if isinstance(counter, int):
-        steps = np.uint64(((counter + 1) * _PHI) & MASK64)
-    else:  # a ufunc, unlike scalar arithmetic, wraps silently
-        steps = np.multiply(_as_words(counter) + _U1, _UPHI)
+    # a ufunc, unlike numpy scalar arithmetic, wraps silently
+    steps = np.multiply(_as_words(counter) + _U1, _UPHI)
     return _mix64_inplace(np.asarray(k + steps))
 
 
