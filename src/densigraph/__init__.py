@@ -9,8 +9,7 @@ from .inversion import (InversionResult, LimitTriple, NonInvertibleError,
                         denominator, forward_map, forward_map_values, invert,
                         invert_triple, inverse_map, kappa, phi1, root_d,
                         select_branch)
-from .limits import (EnvironmentSolution, TheoreticalLimits,
-                     environment_solution, limit_inversion, limits, solve_c,
+from .limits import (TheoreticalLimits, limit_inversion, limits, solve_c,
                      solve_c_dense, solve_m, solve_m_dense)
 from .model import (Environment, InputError, ModelParams, Partition,
                     Trajectory, build_partition, load_environment,

@@ -57,7 +57,7 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.out:
-        summary = summarize(rows, config.params_for(None))
+        summary = summarize(rows, config)
         sys.stdout.write(summary_to_csv(summary))
     failures = sum(1 for r in rows if not r.inv.ok)
     return 3 if failures else 0
@@ -76,7 +76,7 @@ def _cmd_sample(args) -> int:
         traj = perfect_sample(env, params, args.t_len, seed=args.seed,
                               max_depth=args.max_depth)
     else:
-        burnin = default_burnin(params.lam) if args.burnin < 0 else args.burnin
+        burnin = default_burnin(params.lam) if args.burnin == -1 else args.burnin
         traj = simulate(env, params, zero_state(env.n), args.t_len,
                         burnin=burnin, seed=args.seed)
     if args.dump_traj:
@@ -129,7 +129,11 @@ def _cmd_oracle(args) -> int:
         print("estimate,std_err")
         print(f"{est:.17g},{se:.17g}")
     elif args.probe == "shat":
-        b = np.array([int(v) for v in args.b.split(",")])
+        try:
+            b = np.array([int(v) for v in args.b.split(",")])
+        except ValueError:
+            raise InputError(f"--b needs comma-separated integers, "
+                             f"got {args.b!r}") from None
         print(f"{binomial_mixture_shat(b, args.t_len, args.kappa):.17g}")
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,6 +258,8 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Execute the full batch; rows in (varied value, T, replica) order."""
+    if jobs < 1:
+        raise InputError(f"jobs must be >= 1, got {jobs}")
     config.validate()
     n_values = 1 if config.vary_name is None else len(config.vary_values)
     tasks = [(vi, r) for vi in range(n_values) for r in range(config.n_simu)]
@@ -331,22 +333,6 @@ class SummaryRow:
     err_p: float
 
 
-def _truth_for(truth: ModelParams, vary_name: str, value: float) -> ModelParams:
-    if not vary_name:
-        return truth
-    if vary_name == "n":
-        return replace(truth, n=int(value))
-    if vary_name == "r_plus":
-        return replace(truth, r_plus=value)
-    if vary_name == "p":
-        return replace(truth, p=value)
-    if vary_name == "lambda":
-        return replace(truth, lam=value, mu=truth.beta * value)
-    if vary_name == "beta":
-        return replace(truth, mu=value * truth.lam)
-    raise ValueError(f"cannot vary {vary_name!r}")
-
-
 def _median_abs(errors) -> float:
     # Failed inversions (NaN coordinates) count as infinite error, not missing.
     arr = np.abs(np.asarray(errors, dtype=float))
@@ -354,14 +340,15 @@ def _median_abs(errors) -> float:
     return float(np.median(arr))
 
 
-def summarize(rows, truth: ModelParams) -> list[SummaryRow]:
-    """Median absolute error per (varied value, T), plus limit-mark rows."""
+def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
+    """Median absolute error per (varied value, T), plus limit-mark rows,
+    against the parameters ``config.params_for(value)`` that made each row."""
     if not rows:
         raise ValueError("no rows to summarize")
     cells: dict[tuple, list] = {}
     marks: dict[tuple, dict] = {}
     for row in rows:
-        tp = _truth_for(truth, row.vary, row.value) if row.value is not None else truth
+        tp = config.params_for(row.value)
         m, v, w = forward_map_values(tp.mu, tp.lam, tp.p, tp.r_plus)
         key = (row.vary, row.value)
         cells.setdefault(key + (row.t,), []).append(

@@ -34,14 +34,6 @@ FIXED_POINT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class EnvironmentSolution:
-    """Solutions of the two linear systems for one environment."""
-
-    m_vec: np.ndarray
-    c_vec: np.ndarray
-
-
-@dataclass(frozen=True)
 class TheoreticalLimits:
     """Long-time limits of the three trajectory statistics, theta fixed."""
 
@@ -50,42 +42,39 @@ class TheoreticalLimits:
     w_inf: float
 
 
-def _iterate(apply_map, x0: np.ndarray, lam: float,
-             tol: float = FIXED_POINT_TOL) -> np.ndarray:
+def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
     """Fixed-point iteration x <- F(x), geometric convergence for lam > 0."""
     if lam >= 1.0:
         return apply_map(x0)
-    max_iter = 10 * ceil(log(tol) / log(1.0 - lam))
+    max_iter = 10 * ceil(log(FIXED_POINT_TOL) / log(1.0 - lam))
     x = x0
     for _ in range(max_iter):
         x_next = apply_map(x)
         change = float(np.max(np.abs(x_next - x)))
         x = x_next
-        if change < tol:
+        if change < FIXED_POINT_TOL:
             return x
     raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
 
 
-def solve_m(env: Environment, params: ModelParams,
-            tol: float = FIXED_POINT_TOL) -> np.ndarray:
-    """Per-site stationary firing probabilities, sup-norm residual < ~tol."""
+def solve_m(env: Environment, params: ModelParams) -> np.ndarray:
+    """Per-site stationary firing probabilities; last step < FIXED_POINT_TOL."""
     base, signed, coef = interaction_kernel(env, params)
 
     def apply_map(x):
         return base + coef * (signed @ x)
 
-    return _iterate(apply_map, np.full(env.n, params.mu), params.lam, tol)
+    return _iterate(apply_map, np.full(env.n, params.mu), params.lam)
 
 
-def solve_c(env: Environment, params: ModelParams,
-            tol: float = FIXED_POINT_TOL) -> np.ndarray:
+def solve_c(env: Environment, params: ModelParams) -> np.ndarray:
     """Resolvent column sums: c = 1 + (1-lam) A^T c; |c_i| <= 1/lam."""
     _, signed, coef = interaction_kernel(env, params)
 
     def apply_map(x):
         return 1.0 + coef * (x @ signed)
 
-    return _iterate(apply_map, np.ones(env.n), params.lam, tol)
+    return _iterate(apply_map, np.ones(env.n), params.lam)
 
 
 def solve_m_dense(env: Environment, params: ModelParams) -> np.ndarray:
@@ -100,14 +89,9 @@ def solve_c_dense(env: Environment, params: ModelParams) -> np.ndarray:
     return np.linalg.solve((np.eye(env.n) - coef * signed).T, np.ones(env.n))
 
 
-def environment_solution(env: Environment, params: ModelParams) -> EnvironmentSolution:
-    return EnvironmentSolution(m_vec=solve_m(env, params), c_vec=solve_c(env, params))
-
-
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:
     """Long-time limits (m_inf, v_inf, w_inf) for the given environment."""
-    sol = environment_solution(env, params)
-    m_vec, c_vec = sol.m_vec, sol.c_vec
+    m_vec, c_vec = solve_m(env, params), solve_c(env, params)
     m_inf = float(m_vec.mean())
     dev = m_vec - m_inf
     v_inf = float(dev @ dev)

@@ -108,6 +108,8 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     site at the same time follow identical draws afterwards.  Returns the
     estimate and its binomial standard error.
     """
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
     if z1 == z2:
         raise InputError("coalescence probe needs two distinct sites")
     if not (0 <= z1[0] < params.n and 0 <= z2[0] < params.n):

@@ -10,12 +10,13 @@ edge is absent (the copy rule).
 
 Following J backward in time defines a walk that regenerates after a
 geometric(lam) number of steps, so every site's value is a function of
-finitely many draws.  Walking each site of the first window column back to
-its regeneration fixes that column; every later column is one copy step from
-the column before it (`_copy_columns`, which the forward sampler runs from
-its own start).  The window is a sample of the stationary chain with no
-burn-in error.  Row keys are hashed once per call, and columns are drawn in
-chunks of `DRAW_BUDGET` sites.
+finitely many draws.  The copy rule (`_copy_columns`, which the forward
+sampler runs from its own start) run from any start placed before the
+deepest regeneration of the first window column's walks gives that column
+exactly, and every later column is one copy step from the one before it
+(coupling from the past).  The window is a sample of the stationary chain
+with no burn-in error.  Row keys are hashed once per call, and columns are
+drawn in chunks of `DRAW_BUDGET` sites.
 """
 
 from __future__ import annotations
@@ -171,9 +172,11 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
                    seed: int, max_depth: int | None = None) -> Trajectory:
     """Exact stationary sample on the window sites x times {1 .. t_len}.
 
-    Column 1 folds the copy rule forward along each site's backward walk
-    (`DepthExceededError` if one takes more than `max_depth` draws); each later
-    column is one copy step from the column before it (`_copy_columns`).
+    The walk from each site (i, 1) takes d_i draws and regenerates at time
+    2 - d_i (`DepthExceededError` if one takes more than `max_depth` draws).
+    The copy rule (`_copy_columns`) run from any start placed before the
+    deepest of these regenerations gives column 1 exactly, and every later
+    column with it; this one starts from zeros at field time 1 - max d_i.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -182,25 +185,21 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
-    n, lam, mu, scale = env.n, field.lam, field.mu, field.scale
-    size_plus, theta = env.partition.size_plus, env.theta
+    n, lam, scale = env.n, field.lam, field.scale
     row_keys = [absorb(field.key, i) for i in range(n)]
-    x = np.empty((t_len, n), dtype=np.uint8)  # time-major
+    depth = 1  # max d_i
     for i in range(n):
-        sites, t = [i], 1
+        site, t = i, 1
         for _ in range(max_depth):
-            u = uniform01(word(row_keys[sites[-1]], t))
+            u = uniform01(word(row_keys[site], t))
             if u < lam:
                 break
-            sites.append(min(n, 1 + int((u - lam) * scale)) - 1)
+            site = min(n, 1 + int((u - lam) * scale)) - 1
             t -= 1
         else:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
                                      f"from {(i, 1)}; increase max_depth or check lam")
-        v = int(u < mu)
-        for dst, src in zip(sites[-2::-1], sites[:0:-1]):
-            v = v ^ (src >= size_plus) if theta[dst, src] else 0
-        x[0, i] = v
-    if t_len > 1:  # one-column windows skip the numpy setup
-        _copy_columns(field, env, x, 1, np.array(row_keys, dtype=np.uint64))
-    return Trajectory(x.T)
+        depth = max(depth, 2 - t)
+    x = np.zeros((depth + t_len, n), dtype=np.uint8)  # time-major; row 0 at 1 - depth
+    _copy_columns(field, env, x, 1 - depth, np.array(row_keys, dtype=np.uint64))
+    return Trajectory(x[depth:].T)

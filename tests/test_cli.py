@@ -10,6 +10,32 @@ def run_cli(args):
     return main(args)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "coalescence", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["oracle", "coalescence", "--trials", "-3"], "trials must be >= 1, got -3"),
+    (["oracle", "shat", "--b", "", "--t-len", "2", "--kappa", "0.25"],
+     "--b needs comma-separated integers"),
+    (["oracle", "shat", "--b", "2,x", "--t-len", "2", "--kappa", "0.25"],
+     "--b needs comma-separated integers"),
+    (["sample", "--n", "4", "--t-len", "3", "--burnin", "-7"],
+     "burnin must be >= 0, got -7"),
+    (["run", "--jobs", "0", "--set", "n_simu=1", "--set", "t_grid=8"],
+     "jobs must be >= 1, got 0"),
+    (["run", "--jobs", "-2", "--set", "n_simu=1", "--set", "t_grid=8"],
+     "jobs must be >= 1, got -2"),
+])
+def test_bad_counts_exit_2(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    if args[1] == "coalescence":
+        args = [*args, "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1"]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{args[0]} error: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 class TestRun:
     CONFIG = "n = 8\nt_grid = 100\nn_simu = 3\nlimits = false\nseed = 2\n"
 

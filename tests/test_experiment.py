@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from densigraph import ModelParams
 from densigraph.experiment import (CSV_HEADER, ConfigError, ResultRow,
                                    default_config, parse_config_text,
                                    row_to_csv, rows_to_csv, run_experiment,
@@ -161,7 +162,8 @@ def make_row(p_hat, t=100, replica=0, vary="", value=None):
 
 
 class TestSummarize:
-    TRUTH = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=8)
+    # mu = beta * lambda = 0.25, p = 0.5, r_plus = 0.5
+    TRUTH = parse_config_text("n = 8\nt_grid = 100\n")
 
     def test_single_row_median(self):
         summary = summarize([make_row(0.6)], self.TRUTH)
@@ -183,10 +185,22 @@ class TestSummarize:
     def test_varied_truth_substitution(self):
         rows = [make_row(0.3, vary="p", value=0.3),
                 make_row(0.9, vary="p", value=0.7)]
-        summary = summarize(rows, self.TRUTH)
+        summary = summarize(rows, parse_config_text(
+            "n = 8\nt_grid = 100\n", ["vary=p", "vary_values=0.3,0.7"]))
         by_value = {s.value: s for s in summary}
         assert by_value[0.3].err_p == pytest.approx(0.0)
         assert by_value[0.7].err_p == pytest.approx(0.2)
+
+    def test_lambda_sweep_truth_is_the_generating_mu(self):
+        # beta * lambda here differs by one ulp from (beta * lam0 / lam0) * lambda.
+        config = parse_config_text("beta = 0.1\nlambda = 0.7\nt_grid = 100\n",
+                                   ["vary=lambda", "vary_values=0.05"])
+        mu = config.params_for(0.05).mu
+        assert mu != (0.1 * 0.7 / 0.7) * 0.05
+        row = make_row(0.5, vary="lambda", value=0.05)
+        row = replace(row, inv=replace(row.inv, mu=mu, lam=0.05))
+        summary = summarize([row], config)
+        assert summary[0].err_mu == 0.0 and summary[0].err_lambda == 0.0
 
     def test_failed_inversion_counts_as_infinite_error(self):
         bad = InversionResult(mu=float("nan"), lam=float("nan"), p=float("nan"),

@@ -181,6 +181,31 @@ def test_grand_coupling_with_perfect_sampler(lam, n, start):
         assert np.array_equal(forward.x, exact.x)
 
 
+def test_minimal_exact_start():
+    # The deepest column-1 walk takes D draws, regenerating at time 2 - D:
+    # burnin = D - 1 places x0 just before it, and the window is the exact
+    # one from either start; burnin = D - 2 misses that regeneration.
+    t_len, short_differs = 4, []
+    for lam in (0.05, 0.2, 0.9):
+        for n in (3, 50, 500):
+            params = ModelParams(mu=0.5 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
+            env = sample_environment(params, seed=n)
+            for seed in range(10):
+                depth = max(len(backward_walk(seed, params, (i, 1)).path)
+                            for i in range(n))
+                exact = perfect_sample(env, params, t_len, seed=seed).x
+                for start in (0, 1):
+                    x0 = np.full(n, start, dtype=np.uint8)
+                    forward = simulate(env, params, x0, t_len, burnin=depth - 1,
+                                       seed=seed)
+                    assert np.array_equal(forward.x, exact)
+                    if depth >= 2:
+                        short = simulate(env, params, x0, t_len,
+                                         burnin=depth - 2, seed=seed)
+                        short_differs.append(not np.array_equal(short.x, exact))
+    assert any(short_differs)
+
+
 def test_short_burnin_misses_only_walks_that_outlive_it():
     # A cell can differ from the exact window only if its backward walk
     # reaches x0's time -burnin, i.e. regenerates before time 1 - burnin.

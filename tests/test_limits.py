@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from densigraph import (ModelParams, Partition, build_partition,
-                        environment_solution, forward_map_values,
-                        invert_triple, limit_inversion, limits,
-                        sample_environment, solve_c, solve_c_dense, solve_m,
-                        solve_m_dense)
+                        forward_map_values, invert_triple, limit_inversion,
+                        limits, sample_environment, solve_c, solve_c_dense,
+                        solve_m, solve_m_dense)
 from densigraph.model import Environment
 
 from _reference import stationary_means_reference
@@ -172,6 +171,8 @@ class TestLimitInversion:
         for n, lam in [(1, 0.6), (20, 0.5), (25, 1.0)]:
             params = ModelParams(mu=0.2, lam=lam, p=0.5, r_plus=0.5, n=n)
             env = sample_environment(params, seed=9)
-            sol = environment_solution(env, params)
-            assert np.array_equal(sol.m_vec, solve_m(env, params))
-            assert np.array_equal(sol.c_vec, solve_c(env, params))
+            m_vec, c_vec = solve_m(env, params), solve_c(env, params)
+            lim = limits(env, params)
+            assert lim.m_inf == float(m_vec.mean())
+            assert lim.v_inf == float((m_vec - lim.m_inf) @ (m_vec - lim.m_inf))
+            assert lim.w_inf == float(np.mean(c_vec * c_vec * (m_vec - m_vec**2)))
