@@ -333,11 +333,12 @@ class SummaryRow:
     err_p: float
 
 
-def _median_abs(errors) -> float:
+def _median_abs(errors) -> list[float]:
+    """Median absolute error of each column of the rows ``errors``."""
     # Failed inversions (NaN coordinates) count as infinite error, not missing.
     arr = np.abs(np.asarray(errors, dtype=float))
     arr[np.isnan(arr)] = np.inf
-    return float(np.median(arr))
+    return np.median(arr, axis=0).tolist()
 
 
 def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
@@ -364,15 +365,12 @@ def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
     for (vary, value, t), errs in sorted(cells.items(),
                                          key=lambda kv: (str(kv[0][0]),
                                                          kv[0][1] or 0, kv[0][2])):
-        arr = np.asarray(errs, dtype=float)
-        meds = [_median_abs(arr[:, k]) for k in range(6)]
-        out.append(SummaryRow(vary, value, t, len(errs), *meds))
+        out.append(SummaryRow(vary, value, t, len(errs), *_median_abs(errs)))
     for (vary, value), per_replica in sorted(marks.items(),
                                              key=lambda kv: (str(kv[0][0]),
                                                              kv[0][1] or 0)):
-        arr = np.asarray(list(per_replica.values()), dtype=float)
-        meds = [_median_abs(arr[:, k]) for k in range(6)]
-        out.append(SummaryRow(vary, value, None, arr.shape[0], *meds))
+        out.append(SummaryRow(vary, value, None, len(per_replica),
+                              *_median_abs(list(per_replica.values()))))
     return out
 
 

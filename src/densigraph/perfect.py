@@ -10,28 +10,39 @@ edge is absent (the copy rule).
 
 Following J backward in time defines a walk that regenerates after a
 geometric(lam) number of steps, so every site's value is a function of
-finitely many draws.  The copy rule (`_copy_columns`, which the forward
-sampler runs from its own start) run from any start placed before the
+finitely many draws.  The copy rule run from any start placed before the
 deepest regeneration of the first window column's walks gives that column
 exactly, and every later column is one copy step from the one before it
 (coupling from the past).  The window is a sample of the stationary chain
-with no burn-in error.  Row keys are hashed once per call, and columns are
-drawn in chunks of `DRAW_BUDGET` sites.
+with no burn-in error.
+
+One engine serves both samplers.  `_derive` turns a chunk of columns into
+what the copy rule reads at each site -- the source J-1, the edge-and-copy
+mask and the gate -- comparing the top 53 bits of the site's word with
+integer cuts of lam and mu in place of u; `_apply` then builds each column
+from the one before it.  `perfect_sample` derives columns backward from
+time 1, follows all the column-1 walks through them at once, and applies
+the stored columns forward from zeros once the last walk regenerates;
+`_copy_columns` (which the forward sampler runs from its own start) derives
+and applies forward.  Row keys are hashed once per call, and at most
+`DRAW_BUDGET` sites are derived at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
+from math import ceil, log, log1p
 
 import numpy as np
 
 from .model import Environment, InputError, ModelParams, Trajectory
-from .rng import (DRAW_BUDGET, absorb, absorb_array, derive_key, label64,
-                  uniform01, uniform01_array, word, word_array)
+from .rng import (_S11, _U01, DRAW_BUDGET, absorb, absorb_array, derive_key,
+                  label64, uniform01, word, word_array)
 
 # Label of the site field's key, hashed once at import.
 _FIELD_LABEL = label64("site-field")
+
+_TWO53 = 2.0 ** 53
 
 
 class DepthExceededError(RuntimeError):
@@ -77,13 +88,17 @@ class SiteField:
     different sites see one shared field.
     """
 
-    __slots__ = ("key", "lam", "mu", "n", "scale")
+    __slots__ = ("key", "lam", "mu", "n", "scale", "lam_cut", "mu_cut")
 
     def __init__(self, seed: int, params: ModelParams):
         self.key = derive_key(seed, _FIELD_LABEL)
         self.lam, self.mu, self.n = params.lam, params.mu, params.n
         # Spreads the copy branch [lam, 1) over labels 1..n; lam = 1 never copies.
         self.scale = self.n / (1.0 - self.lam) if self.lam < 1.0 else 0.0
+        # u = k 2^-53 is exact for the top 53 bits k of a word, so for a real
+        # x, u < x exactly when k < ceil(x 2^53) (x 2^53 is exact too).
+        self.lam_cut = ceil(self.lam * _TWO53)
+        self.mu_cut = ceil(self.mu * _TWO53)
 
     def draw(self, i: int, t: int) -> tuple[int, int]:
         """(j, xi) at site (i, t); j uses the 0-= regenerate convention."""
@@ -95,18 +110,22 @@ class SiteField:
     def draw_batch(self, keys, i, t) -> tuple[np.ndarray, np.ndarray]:
         """`draw` over arrays, bit for bit: int64 j and uint8 xi.  ``keys`` (the
         field key, or one per coalescence trial) broadcasts against i and t."""
-        return self._split(uniform01_array(word_array(absorb_array(keys, i), t)))
+        src, copy, xi = self._split(word_array(absorb_array(keys, i), t) >> _S11)
+        src += 1
+        src *= copy
+        return src, xi
 
-    def draw_columns(self, row_keys, times) -> tuple[np.ndarray, np.ndarray]:
-        """`draw` at all rows of the columns ``times``, time-major, from row keys
-        absorb(key, i)."""
-        return self._split(uniform01_array(word_array(row_keys, times[:, None])))
-
-    def _split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        j = 1 + (np.maximum(u - self.lam, 0.0) * self.scale).astype(np.int64)
-        np.minimum(j, self.n, out=j)  # guards the u -> 1 float edge
-        j *= u >= self.lam
-        return j, (u < self.mu).view(np.uint8)
+    def _split(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """From the top 53 bits k of site words: the source site J - 1 (0 where
+        the site regenerates), the copy flag J > 0 and the uint8 bit xi.  The
+        uniforms u = k 2^-53 overwrite k, so one word-sized array stays live."""
+        copy, xi = k >= self.lam_cut, (k < self.mu_cut).view(np.uint8)
+        f = np.multiply(k, _U01, out=k.view(np.float64))
+        f -= self.lam
+        f *= self.scale
+        np.maximum(f, 0.0, out=f)
+        np.minimum(f, self.n - 1, out=f)  # guards the u -> 1 float edge
+        return f.astype(np.int64), copy, xi
 
 
 def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw:
@@ -143,29 +162,39 @@ def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
                              f"{z}; increase max_depth or check lam")
 
 
+def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
+            times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The draws at all rows of the columns ``times``, time-major, from row
+    keys absorb(key, i), as the copy rule reads them: the source src, the
+    edge-and-copy mask A, the gate G = (F & A) | xi with the flip
+    F = (src inhibitory), and the copy flag."""
+    src, copy, xi = field._split(word_array(row_keys, times[:, None]) >> _S11)
+    a = np.take(env.theta, src + np.arange(0, env.n * env.n, env.n))
+    a &= copy.view(np.uint8)
+    g = (src >= env.partition.size_plus).view(np.uint8)
+    g &= a
+    g |= xi
+    return src, a, g, copy
+
+
+def _apply(x: np.ndarray, src: np.ndarray, a: np.ndarray, g: np.ndarray) -> None:
+    """The copy rule over the rows of src, a and g: x[r] = (x[r-1][src] & A) ^ G
+    for r = 1 .. len(src), one gather and two uint8 operations a column."""
+    for prev, cur, s, a_r, g_r in zip(x, x[1:], src, a, g):
+        np.bitwise_and(prev[s], a_r, out=cur)
+        cur ^= g_r
+
+
 def _copy_columns(field: SiteField, env: Environment, x: np.ndarray, t0: int,
                   row_keys: np.ndarray) -> None:
     """Fill x[1:] of the time-major array x from x[0], the state at field time
-    t0: x[r] = ((x[r-1][src] ^ F) & A) | xi with the draws at field time t0 + r,
-    the source src, the flip F = (src inhibitory) and the edge-and-copy mask A.
-    Each chunk of columns precomputes G = (F & A) | xi, so that a column costs
-    one gather and two uint8 operations: x[r] = (x[r-1][src] & A) ^ G."""
-    n = env.n
-    flat = np.arange(0, n * n, n)  # row offsets into theta
-    span = max(1, DRAW_BUDGET // n)
+    t0, by the copy rule with the draws at field time t0 + r, derived in chunks
+    of `DRAW_BUDGET` sites."""
+    span = max(1, DRAW_BUDGET // env.n)
     for lo in range(1, len(x), span):
         hi = min(lo + span, len(x))
-        j, xi = field.draw_columns(row_keys, np.arange(t0 + lo, t0 + hi))
-        src = j - 1
-        np.maximum(src, 0, out=src)
-        copy = np.take(env.theta, src + flat)
-        copy &= j > 0
-        gate = (src >= env.partition.size_plus).view(np.uint8)
-        gate &= copy
-        gate |= xi
-        for prev, cur, s, a, g in zip(x[lo - 1:], x[lo:hi], src, copy, gate):
-            np.bitwise_and(prev[s], a, out=cur)
-            cur ^= g
+        src, a, g, _ = _derive(field, env, row_keys, np.arange(t0 + lo, t0 + hi))
+        _apply(x[lo - 1:hi], src, a, g)
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
@@ -174,9 +203,12 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
 
     The walk from each site (i, 1) takes d_i draws and regenerates at time
     2 - d_i (`DepthExceededError` if one takes more than `max_depth` draws).
-    The copy rule (`_copy_columns`) run from any start placed before the
-    deepest of these regenerations gives column 1 exactly, and every later
-    column with it; this one starts from zeros at field time 1 - max d_i.
+    Columns are derived backward from time 1 in chunks, and all n walks
+    follow their sources through each chunk at once until the last one
+    regenerates.  The copy rule then runs from zeros at field time
+    1 - max d_i over the stored columns, which gives column 1 exactly, and
+    on over columns 2 .. t_len.  Window columns that fit beside the first
+    backward chunk within `DRAW_BUDGET` sites are derived with it.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -185,21 +217,38 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
-    n, lam, scale = env.n, field.lam, field.scale
-    row_keys = [absorb(field.key, i) for i in range(n)]
-    depth = 1  # max d_i
-    for i in range(n):
-        site, t = i, 1
-        for _ in range(max_depth):
-            u = uniform01(word(row_keys[site], t))
-            if u < lam:
-                break
-            site = min(n, 1 + int((u - lam) * scale)) - 1
-            t -= 1
-        else:
+    n, lam = env.n, field.lam
+    site = start = np.arange(n)  # each live walk's site, and the i it started from
+    row_keys = absorb_array(field.key, site)
+    span = max(1, DRAW_BUDGET // n)
+    # The first backward chunk is the smallest c with n (1 - lam)^c <= 1/16,
+    # so at most about one call in 16 needs a second one; each later chunk
+    # doubles.
+    want = ceil(min(span, log(16 * n) / -log1p(-lam))) if lam < 1.0 else 1
+    ahead = skip = max(0, min(t_len - 1, span - want))  # window columns 2 .. 1 + ahead
+    chunks, depth = [], 0
+    while site.size:  # depth columns walked so far, at times 2 - depth .. 1
+        if depth == max_depth:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
-                                     f"from {(i, 1)}; increase max_depth or check lam")
-        depth = max(depth, 2 - t)
-    x = np.zeros((depth + t_len, n), dtype=np.uint8)  # time-major; row 0 at 1 - depth
-    _copy_columns(field, env, x, 1 - depth, np.array(row_keys, dtype=np.uint64))
+                                     f"from {(int(start[0]), 1)}; increase "
+                                     f"max_depth or check lam")
+        c = min(want, span - skip, max_depth - depth)
+        src, a, g, copy = _derive(field, env, row_keys,
+                                  np.arange(1 - depth + skip, 1 - depth - c, -1))
+        chunks.append((src, a, g))
+        for r in range(skip, skip + c):  # row skip is field time 1 - depth
+            keep = copy[r][site]
+            site, start = src[r][site[keep]], start[keep]
+            depth += 1
+            if not site.size:
+                break
+        want, skip = 2 * want, 0
+    # time-major; row 0 holds zeros at field time 1 - depth, row depth is time 1
+    x = np.zeros((depth + t_len, n), dtype=np.uint8)
+    src, a, g = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+    last = ahead + depth - 1  # the stored rows run backward from time 1 + ahead
+    _apply(x, src[last::-1], a[last::-1], g[last::-1])
+    del chunks, src, a, g, copy  # not live while the forward chunks are derived
+    if t_len > 1 + ahead:
+        _copy_columns(field, env, x[ahead + depth:], 1 + ahead, row_keys)
     return Trajectory(x[depth:].T)

@@ -7,7 +7,7 @@ from densigraph.experiment import (CSV_HEADER, ConfigError, ResultRow,
                                    default_config, parse_config_text,
                                    row_to_csv, rows_to_csv, run_experiment,
                                    summarize, summary_to_csv)
-from densigraph.inversion import InversionResult
+from densigraph.inversion import InversionResult, forward_map_values
 
 SMALL = """
 n = 8
@@ -212,6 +212,29 @@ class TestSummarize:
                           v_hat=0.0, w_hat=0.0, inv=bad)]
         summary = summarize(rows, self.TRUTH)
         assert summary[0].err_p == np.inf or summary[0].err_p > 0.1
+
+    def test_cell_medians_match_per_column_medians(self):
+        # Three failed inversions of six: the middle pair of the inversion
+        # columns straddles inf, while m, v and w stay finite.
+        bad = InversionResult(mu=float("nan"), lam=float("nan"), p=float("nan"),
+                              branch="minus",
+                              guards=frozenset({"non_invertible"}),
+                              clipped=frozenset())
+        rows = [replace(make_row(p_hat, replica=k), m_hat=0.3 + 0.01 * k,
+                        w_hat=0.2 + 0.03 * k)
+                for k, p_hat in enumerate((0.6, 0.2, 0.9))]
+        rows += [replace(rows[k], replica=3 + k, v_hat=0.01 * k, inv=bad)
+                 for k in range(3)]
+        tp = self.TRUTH.params_for(None)
+        m, v, w = forward_map_values(tp.mu, tp.lam, tp.p, tp.r_plus)
+        errs = np.abs([(r.m_hat - m, r.v_hat - v, r.w_hat - w, r.inv.mu - tp.mu,
+                        r.inv.lam - tp.lam, r.inv.p - tp.p) for r in rows])
+        errs[np.isnan(errs)] = np.inf
+        (cell,) = summarize(rows, self.TRUTH)
+        got = (cell.err_m, cell.err_v, cell.err_w, cell.err_mu, cell.err_lambda,
+               cell.err_p)
+        assert got == tuple(float(np.median(errs[:, k])) for k in range(6))
+        assert np.isfinite(got[:3]).all() and np.isinf(got[3:]).all()
 
     def test_summary_csv_shape(self):
         text = summary_to_csv(summarize([make_row(0.6)], self.TRUTH))

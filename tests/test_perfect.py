@@ -1,3 +1,6 @@
+from functools import cache
+from math import ceil, log, log1p
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +11,7 @@ from densigraph import (DepthExceededError, ModelParams, SiteField,
                         transition_probabilities, tv_distance)
 from densigraph.model import sample_environment
 from densigraph.oracles import column_indices, empirical_distribution
+from densigraph.perfect import _derive
 from densigraph.rng import DRAW_BUDGET, absorb_array
 
 from _reference import binomial_sigma, perfect_sample_reference
@@ -65,6 +69,20 @@ class TestSiteDraw:
         js, xis = field.draw_batch(field.key, sites[:6], -4)
         for i in range(6):
             assert field.draw(i, -4) == (js[i], xis[i])
+
+    @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.5, 1e-300),
+                                         (1e-300, 1e-300), (0.7, 0.5)])
+    def test_integer_cuts_match_float_comparison(self, lam, mu):
+        # k 2^-53 is the uniform `draw` compares with lam and mu.
+        field = SiteField(0, ModelParams(mu=mu, lam=lam, p=0.5, r_plus=0.5, n=4))
+        for x, cut in ((lam, field.lam_cut), (mu, field.mu_cut)):
+            k = np.array([c for c in (cut - 1, cut, cut + 1) if 0 <= c < 2**53],
+                         dtype=np.uint64)
+            u = k * 2.0**-53
+            assert np.array_equal(k < cut, u < x)
+            _, copy, xi = field._split(k.copy())
+            assert np.array_equal(copy, u >= lam)
+            assert np.array_equal(xi, u < mu)
 
     def test_site_index_bounds(self):
         params = small_params()
@@ -269,13 +287,51 @@ class TestPerfectSample:
         assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
 
 
+def first_chunk(n, lam):
+    """Backward columns in `perfect_sample`'s first chunk, before the
+    `DRAW_BUDGET` cap: the smallest c with n (1 - lam)^c <= 1/16."""
+    return ceil(log(16 * n) / -log1p(-lam))
+
+
+def column1_depth(seed, params):
+    """D, the draws of the deepest column-1 walk, from `backward_walk`."""
+    return max(len(backward_walk(seed, params, (i, 1)).path)
+               for i in range(params.n))
+
+
+class TestDepthBoundary:
+    # D past the first chunk (n=3, lam=0.05), and D ending exactly at the end
+    # of the first chunk (n=3, lam=0.5: six columns).
+    @pytest.mark.parametrize("n, lam, where", [
+        (3, 0.05, "past"), (3, 0.5, "past"), (3, 0.5, "at"), (30, 0.5, "at"),
+    ])
+    @pytest.mark.parametrize("t_len", [1, 5])
+    def test_max_depth_is_exactly_the_deepest_walk(self, n, lam, where, t_len):
+        params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=n)
+        env = sample_environment(params, seed=2)
+        c0 = first_chunk(n, lam)
+        seed, depth = next(
+            (s, d) for s in range(5000)
+            for d in [column1_depth(s, params)]
+            if (d == c0 if where == "at" else d > c0 + 1))
+        traj = perfect_sample(env, params, t_len, seed=seed, max_depth=depth)
+        assert np.array_equal(traj.x, perfect_sample(env, params, t_len, seed=seed).x)
+        with pytest.raises(DepthExceededError) as walk_error:
+            for i in range(n):
+                backward_walk(seed, params, (i, 1), max_depth=depth - 1)
+        with pytest.raises(DepthExceededError) as error:
+            perfect_sample(env, params, t_len, seed=seed, max_depth=depth - 1)
+        assert error.value.args == walk_error.value.args
+
+
 class TestColumnChunks:
     # Columns 2..400 at n=200 span three draw chunks: two chunk boundaries.
     N, T_LEN = 200, 400
 
-    def params(self, lam):
-        assert self.T_LEN - 1 > 2 * (DRAW_BUDGET // self.N)
-        return ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=self.N)
+    @classmethod
+    def params(cls, lam):
+        assert cls.T_LEN - 1 > 2 * (DRAW_BUDGET // cls.N)
+        return ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=cls.N)
 
     @pytest.mark.parametrize("lam", [0.2, 0.9])
     def test_matches_per_column_reference(self, lam):
@@ -287,12 +343,38 @@ class TestColumnChunks:
 
     @pytest.mark.parametrize("lam", [0.2, 0.9])
     def test_chunk_draw_matches_batch_draw(self, lam):
-        field = SiteField(12, self.params(lam))
+        params = self.params(lam)
+        env = sample_environment(params, seed=11)
+        field = SiteField(12, params)
         rows, times = np.arange(self.N), np.arange(2, self.T_LEN + 1)
-        j, xi = field.draw_columns(absorb_array(field.key, rows), times)
+        src, a, g, copy = _derive(field, env, absorb_array(field.key, rows), times)
         j_batch, xi_batch = field.draw_batch(field.key, rows, times[:, None])
         regen = j_batch == 0
         assert regen.any() and not regen.all()
-        assert np.array_equal(j, j_batch)
-        assert np.array_equal(xi[regen], xi_batch[regen])
-        assert not xi[~regen].any()
+        assert np.array_equal(copy, ~regen)
+        assert np.array_equal((src + 1) * copy, j_batch)
+        # Where a site regenerates, its gate is its value bit xi.
+        assert np.array_equal(g[regen], xi_batch[regen])
+        assert not xi_batch[~regen].any()
+        # Where it copies, the mask is the edge and the gate the flip through it.
+        assert np.array_equal(a, env.theta[rows, src] & copy)
+        flip = src >= env.partition.size_plus
+        assert np.array_equal(g[~regen], (flip & a)[~regen])
+
+    @classmethod
+    @cache
+    def deep_seed(cls, lam):
+        """The first seed whose column-1 walks outrun the first backward chunk."""
+        params, span = cls.params(lam), DRAW_BUDGET // cls.N
+        return next(s for s in range(200)
+                    if column1_depth(s, params) > min(span, first_chunk(cls.N, lam)))
+
+    @pytest.mark.parametrize("lam", [0.02, 0.05])
+    @pytest.mark.parametrize("t_len", [1, 2, 70])
+    def test_multi_chunk_walks_match_reference(self, lam, t_len):
+        params = self.params(lam)
+        env = sample_environment(params, seed=13)
+        seed = self.deep_seed(lam)
+        traj = perfect_sample(env, params, t_len, seed=seed)
+        expect = perfect_sample_reference(env, params, t_len, seed=seed)
+        assert np.array_equal(traj.x, expect)
