@@ -28,7 +28,7 @@ from math import ceil, log
 import numpy as np
 
 from .inversion import InversionResult, invert_triple
-from .model import Environment, ModelParams, interaction_kernel
+from .model import Environment, InputError, ModelParams, interaction_kernel
 
 FIXED_POINT_TOL = 1e-12
 
@@ -46,6 +46,9 @@ def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
     """Fixed-point iteration x <- F(x), geometric convergence for lam > 0."""
     if lam >= 1.0:
         return apply_map(x0)
+    if 1.0 - lam == 1.0:
+        raise InputError(f"lam={lam!r} is too small: 1 - lam rounds to 1, so the "
+                         f"iteration has no step bound")
     max_iter = 10 * ceil(log(FIXED_POINT_TOL) / log(1.0 - lam))
     x = x0
     for _ in range(max_iter):

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
 from math import ceil
 
 import numpy as np
 
 from .rng import DRAW_BUDGET, Stream, derive_key
 
-# Trajectory rows formatted or parsed per block: bounds the text held in memory.
+# Trajectory rows written per block, and about 8 characters a row read per
+# block: bounds the text held in memory.
 _ROWS_PER_BLOCK = 1 << 16
 
 
@@ -261,31 +261,55 @@ def save_trajectory(traj: Trajectory, path_or_file) -> None:
     """Write a trajectory as sparse CSV: only x = 1 cells, columns t,i,x.
 
     Times and sites are 1-based in the file.  A leading comment line records
-    the matrix dimensions, which the sparse rows alone cannot recover.
+    the matrix dimensions, which the sparse rows alone cannot recover.  Rows
+    are built `_ROWS_PER_BLOCK` at a time as one byte array: each row gathers
+    its ``t,`` and ``i,1\n`` bytes from tables of 0-padded decimals, and one
+    mask drops the padding.
     """
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     fh = open(path_or_file, "w", encoding="ascii") if own else path_or_file
     try:
         fh.write(f"# n={traj.n} t_len={traj.t_len}\n")
         fh.write("t,i,x\n")
-        times, sites = np.nonzero(traj.x.T)
-        t_text = [f"{t}," for t in range(1, traj.t_len + 1)]
-        i_text = [f"{i},1\n" for i in range(1, traj.n + 1)]
-        for lo in range(0, times.size, _ROWS_PER_BLOCK):
-            rows = slice(lo, lo + _ROWS_PER_BLOCK)
-            fh.write("".join(chain.from_iterable(zip(
-                map(t_text.__getitem__, times[rows].tolist()),
-                map(i_text.__getitem__, sites[rows].tolist())))))
+        n = traj.n
+        t_text, i_text = _decimal_table(traj.t_len, b","), _decimal_table(n, b",1\n")
+        cells = np.flatnonzero(traj.x.T)  # time-major: the file's row order
+        for lo in range(0, cells.size, _ROWS_PER_BLOCK):
+            t, i = np.divmod(cells[lo:lo + _ROWS_PER_BLOCK], n)
+            text = np.hstack((t_text[t], i_text[i]))
+            fh.write(text[text != 0].tobytes().decode("ascii"))
     finally:
         if own:
             fh.close()
+
+
+def _decimal_table(count: int, tail: bytes) -> np.ndarray:
+    """Row k - 1 holds the ASCII decimal of k = 1..count, right-aligned with
+    0 bytes in front, then `tail`: a uint8 array of shape
+    (count, digits of count + len(tail))."""
+    width = len(str(count))
+    k = np.arange(1, count + 1)
+    table = np.zeros((count, width + len(tail)), dtype=np.uint8)
+    for place in range(width):
+        power = 10 ** place
+        table[k >= power, width - 1 - place] = k[k >= power] // power % 10 + ord("0")
+    table[:, width:] = np.frombuffer(tail, dtype=np.uint8)
+    return table
 
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory written by :func:`save_trajectory`, skipping blank
     lines; an `InputError` names the line of any row that is not three
     integers t in 1..t_len, i in 1..n and x in {0, 1}, or that repeats the
-    cell (t, i) of an earlier row."""
+    cell (t, i) of an earlier row.
+
+    The rows are read in blocks of about ``8 * _ROWS_PER_BLOCK`` characters,
+    each ending at a line end.  A block whose every row is exactly
+    ``digits,digits,digit`` (fields of at most 18 digits) is parsed with
+    numpy byte operations; any other block (blank lines, signs, spaces,
+    other fields) goes through `np.loadtxt`, or `int` on each field.  Both
+    feed one range and repeat check.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n="):
@@ -301,30 +325,29 @@ def load_trajectory(path) -> Trajectory:
             raise InputError(f"missing column header in {path}")
         x = np.zeros((n, t_len), dtype=np.uint8)
         line_no = 3
-        while lines := list(islice(fh, _ROWS_PER_BLOCK)):
-            _set_rows(x, lines, line_no, path)
-            line_no += len(lines)
+        while text := fh.read(8 * _ROWS_PER_BLOCK):
+            if text[-1] != "\n":
+                text += fh.readline()
+            _set_rows(x, text, line_no, path)
+            line_no += text.count("\n")
     x &= 1
     return Trajectory(x)
 
 
-def _set_rows(x: np.ndarray, lines: list[str], first: int, path) -> None:
-    """Set the cells of x named by a block of t,i,x rows starting at file line
-    `first` to 2 | x (2 marks a cell read), or raise an `InputError` naming
-    the first bad or repeated row."""
+def _set_rows(x: np.ndarray, text: str, first: int, path) -> None:
+    """Set the cells of x named by a block of t,i,x lines starting at file
+    line `first` to 2 | x (2 marks a cell read), or raise an `InputError`
+    naming the first bad or repeated row."""
     n, t_len = x.shape
-    rows = [line for line in lines if not line.isspace()]
-    if not rows:
-        return
-    try:
-        # numpy before 2.4 parses a field such as "0.9" through a float and
-        # truncates it, with only a DeprecationWarning: make that an error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            t, i, value = np.loadtxt(rows, dtype=np.int64, delimiter=",", ndmin=2,
-                                     comments=None).T
-    except (ValueError, DeprecationWarning):
-        t, i, value = np.array([_int_row(row) for row in rows], dtype=object).T
+    fields = _canonical_fields(text if text[-1] == "\n" else text + "\n")
+    kept = None  # row r is line r, unless blank lines are skipped below
+    if fields is None:
+        lines = text.split("\n")
+        kept = [k for k, line in enumerate(lines) if line.strip()]
+        if not kept:
+            return
+        fields = _loadtxt_fields([lines[k] for k in kept])
+    t, i, value = fields
     ok = (1 <= t) & (t <= t_len) & (1 <= i) & (i <= n) & ((value == 0) | (value == 1))
     stop = ok.size if ok.all() else int(ok.argmin())  # rows before the first bad one
     t, i = t[:stop].astype(np.intp) - 1, i[:stop].astype(np.intp) - 1
@@ -334,11 +357,66 @@ def _set_rows(x: np.ndarray, lines: list[str], first: int, path) -> None:
     repeat[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
     if repeat.any() or stop < ok.size:
         row = int(repeat.argmax()) if repeat.any() else stop
-        k = [k for k, line in enumerate(lines) if not line.isspace()][row]
+        k = row if kept is None else kept[row]
+        line = text.split("\n")[k].strip()
         need = ("repeats the cell (t, i) of an earlier row" if row < stop else
                 f"needs t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
-        raise InputError(f"{path}, line {first + k}: {lines[k].strip()!r} {need}")
+        raise InputError(f"{path}, line {first + k}: {line!r} {need}")
     x[i, t] = 2 | value
+
+
+def _canonical_fields(text: str):
+    """The int64 fields t, i, x of a block of lines that each read exactly
+    ``digits,digits,digit`` then a line end, with at most 18 digits a field,
+    or None when any line differs."""
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = data - ord("0")  # wraps every byte but the ten digits above 9
+    sep = np.flatnonzero(digit > 9)
+    if sep.size % 3:
+        return None
+    sep = sep.reshape(-1, 3)  # per line: the two commas and the line end
+    start = np.concatenate(([0], sep[:-1, 2] + 1))
+    t_width, i_width = sep[:, 0] - start, sep[:, 1] - sep[:, 0] - 1
+    if not ((data[sep] == np.frombuffer(b",,\n", dtype=np.uint8)).all()
+            and (sep[:, 2] - sep[:, 1] == 2).all()
+            and 1 <= min(t_width.min(), i_width.min())
+            and max(t_width.max(), i_width.max()) <= 18):
+        return None
+    return (_decimal_values(digit, start, t_width),
+            _decimal_values(digit, sep[:, 0] + 1, i_width),
+            digit[sep[:, 2] - 1].astype(np.int64))
+
+
+def _decimal_values(digit: np.ndarray, start: np.ndarray,
+                    width: np.ndarray) -> np.ndarray:
+    """int64 values of the decimal fields of `width` digits from `start`, by
+    Horner steps, each masked to the fields still that long."""
+    value = np.zeros(start.size, dtype=np.int64)
+    at, shortest = start.copy(), width.min()
+    for place in range(int(width.max())):
+        step = digit.take(at, mode="clip")  # past the block end only if masked
+        at += 1
+        if place < shortest:
+            value *= 10
+            value += step
+        else:
+            np.copyto(value, value * 10 + step, where=place < width)
+    return value
+
+
+def _loadtxt_fields(rows: list[str]):
+    """The int64 (or int) fields t, i, x of each row; a row that is not three
+    integers gets (0, 0, 0), which no range admits."""
+    try:
+        # numpy before 2.4 parses a field such as "0.9" through a float and
+        # truncates it, with only a DeprecationWarning: make that an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            t, i, value = np.loadtxt(rows, dtype=np.int64, delimiter=",", ndmin=2,
+                                     comments=None).T
+    except (ValueError, DeprecationWarning):
+        t, i, value = np.array([_int_row(row) for row in rows], dtype=object).T
+    return t, i, value
 
 
 def _int_row(row: str) -> tuple[int, int, int]:
@@ -351,7 +429,9 @@ def _int_row(row: str) -> tuple[int, int, int]:
 
 
 def load_environment(path) -> Environment:
-    """Read an environment written by :func:`save_environment`."""
+    """Read an environment written by :func:`save_environment`: a header, then
+    n rows of n 0/1 characters, each with any surrounding whitespace; only
+    blank lines may follow the last row."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 4:
@@ -362,10 +442,16 @@ def load_environment(path) -> Environment:
             partition = Partition(n, size_plus)
         except ValueError:
             raise InputError(f"bad environment header in {path}") from None
-        theta = np.zeros((n, n), dtype=np.uint8)
-        for i in range(n):
-            line = fh.readline().strip()
-            if len(line) != n or set(line) - {"0", "1"}:
-                raise InputError(f"bad environment row {i} in {path}")
-            theta[i] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+        lines = fh.read().split("\n", n)  # the n rows, then the rest of the file
+    rows = [line.strip() for line in lines[:n]]
+    sized = next((i for i, row in enumerate(rows) if len(row) != n), len(rows))
+    theta = np.frombuffer("".join(rows[:sized]).encode("ascii"),
+                          dtype=np.uint8).reshape(sized, n) - ord("0")
+    bad = np.flatnonzero((theta > 1).any(axis=1))  # other characters wrap above 1
+    if bad.size or sized < n:
+        raise InputError(f"bad environment row {bad[0] if bad.size else sized} in {path}")
+    for k, line in enumerate(lines[n].split("\n") if len(lines) > n else []):
+        if line.strip():
+            raise InputError(f"{path}, line {n + 2 + k}: {line.strip()!r} follows "
+                             f"environment row {n - 1}")
     return Environment(theta=theta, partition=partition, p=p, seed=seed)

@@ -77,6 +77,9 @@ def default_max_depth(lam: float, tail: float = 1e-12) -> int:
     """Depth bound with per-walk failure probability (1-lam)^depth < tail."""
     if lam >= 1.0:
         return 1
+    if 1.0 - lam == 1.0:
+        raise InputError(f"lam={lam!r} is too small: 1 - lam rounds to 1, so no "
+                         f"depth bound exists")
     return ceil(log(tail) / log(1.0 - lam))
 
 

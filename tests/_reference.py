@@ -96,6 +96,20 @@ def trajectory_csv_reference(x):
     return "".join(lines)
 
 
+def trajectory_from_csv_reference(text):
+    """The matrix of a sparse trajectory text: the ``# n=.. t_len=..`` line
+    sizes it, the column header is skipped, and every other non-blank line
+    sets x[i - 1, t - 1] from `int` of each of its fields t, i, x."""
+    lines = text.split("\n")
+    dims = dict(kv.split("=") for kv in lines[0][2:].split())
+    x = np.zeros((int(dims["n"]), int(dims["t_len"])), dtype=np.uint8)
+    for line in lines[2:]:
+        if line.strip():
+            t, i, value = (int(field) for field in line.split(","))
+            x[i - 1, t - 1] = value
+    return x
+
+
 def environment_text_reference(env):
     """Environment text: a ``n size_plus p seed`` header, then one row of
     0/1 characters per site, written cell by cell."""

@@ -138,6 +138,8 @@ class TestSample:
         (["--sampler", "perfect", "--max-depth", "1", "--lambda", "0.001"],
          "no regeneration within 1 steps"),
         (["--load-env", "missing-env.txt"], "missing-env.txt"),
+        (["--lambda", "1e-17"], "lam=1e-17 is too small"),
+        (["--sampler", "perfect", "--lambda", "1e-17"], "lam=1e-17 is too small"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, monkeypatch, capsys, args,
                                   message):
@@ -197,6 +199,19 @@ class TestEstimateInvertLimits:
         assert out[0] == "m_inf,v_inf,w_inf"
         m_inf = float(out[1].split(",")[0])
         assert 0.0 < m_inf < 1.0
+
+    def test_limits_tiny_lambda_exit_2(self, tmp_path, capsys):
+        env_path = tmp_path / "env.txt"
+        run_cli(["sample", "--n", "12", "--t-len", "4", "--seed", "8",
+                 "--dump-env", str(env_path), "--dump-traj",
+                 str(tmp_path / "ignore.csv")])
+        code = run_cli(["limits", "--env", str(env_path), "--mu", "0",
+                        "--lambda", "1e-17"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limits error: lam=1e-17 is too small")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command, message", [
         (["estimate", "--traj"], "line 3: '1,9,1' needs"),

@@ -5,7 +5,7 @@ from densigraph import (ModelParams, Partition, build_partition,
                         forward_map_values, invert_triple, limit_inversion,
                         limits, sample_environment, solve_c, solve_c_dense,
                         solve_m, solve_m_dense)
-from densigraph.model import Environment
+from densigraph.model import Environment, InputError
 
 from _reference import stationary_means_reference
 
@@ -37,6 +37,12 @@ class TestSolveM:
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=1)
         env = single_site_env(0)
         assert solve_m(env, params)[0] == pytest.approx(0.2, abs=1e-12)
+
+    @pytest.mark.parametrize("solve", [solve_m, solve_c])
+    def test_lam_too_small_for_a_step_bound_rejected(self, solve):
+        params = ModelParams(mu=0.0, lam=1e-17, p=0.5, r_plus=0.5, n=1)
+        with pytest.raises(InputError, match="lam=1e-17 is too small"):
+            solve(single_site_env(1), params)
 
     def test_self_loop_scalar_fixed_point(self):
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=1)

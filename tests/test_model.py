@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densigraph import (Environment, InputError, ModelParams, Partition,
                         Trajectory, build_partition, load_environment,
@@ -12,7 +14,8 @@ from densigraph import (Environment, InputError, ModelParams, Partition,
 from densigraph import model
 from densigraph.rng import DRAW_BUDGET
 from _reference import (environment_text_reference, sample_environment_reference,
-                        trajectory_csv_reference, transition_probability_loops)
+                        trajectory_csv_reference, trajectory_from_csv_reference,
+                        transition_probability_loops)
 
 
 def make_env(theta, r_plus=0.5):
@@ -282,13 +285,62 @@ class TestSerialization:
     def test_trajectory_file_bytes_match_reference(self, tmp_path, monkeypatch, block):
         monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
         rng = np.random.default_rng(block)
+        # (101, 12), (12, 1001) and (1000, 3) take t and i across the 9 -> 10,
+        # 99 -> 100 and 999 -> 1000 digit widths.
         for shape, density in [((1, 1), 1.0), ((4, 3), 0.0), ((7, 13), 0.4),
-                               ((30, 50), 0.9)]:
+                               ((30, 50), 0.9), ((101, 12), 0.5), ((12, 1001), 0.5),
+                               ((1000, 3), 0.5)]:
             traj = Trajectory((rng.random(shape) < density).astype(np.uint8))
             path = tmp_path / "traj.csv"
             save_trajectory(traj, path)
             assert path.read_text() == trajectory_csv_reference(traj.x)
             assert np.array_equal(load_trajectory(path).x, traj.x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 120), t_len=st.integers(1, 120),
+           density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           block=st.sampled_from([1, 3, 1 << 16]))
+    def test_trajectory_file_round_trip_matches_references(self, tmp_path_factory,
+                                                           n, t_len, density,
+                                                           seed, block):
+        x = (np.random.default_rng(seed).random((n, t_len)) < density).astype(np.uint8)
+        path = tmp_path_factory.mktemp("traj") / "traj.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_ROWS_PER_BLOCK", block)
+            # A saved file parses without the np.loadtxt fallback.
+            mp.setattr(np, "loadtxt", None)
+            save_trajectory(Trajectory(x), path)
+            loaded = load_trajectory(path).x
+        text = path.read_text()
+        assert text == trajectory_csv_reference(x)
+        assert np.array_equal(loaded, x)
+        assert np.array_equal(loaded, trajectory_from_csv_reference(text))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 16])
+    @pytest.mark.parametrize("eol, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")],
+                             ids=["lf", "crlf", "no-final-newline"])
+    @pytest.mark.parametrize("row, cell", [
+        ("+1,1,1", (0, 0)), (" 1,1,1", (0, 0)), ("01,1,1", (0, 0)),
+        ("1,1,1 ", (0, 0)), ("1, 2,1", (1, 0)), ("1,1,01", (0, 0)),
+        ("1,1,+1", (0, 0)), ("1,1,1\t", (0, 0)), ("1,2,1", (1, 0)),
+    ])
+    def test_trajectory_lenient_rows_accepted(self, tmp_path, monkeypatch, block,
+                                              eol, last, row, cell):
+        # Each row sits among canonical rows: in one block, and at every
+        # place relative to a block end as the block size varies.
+        monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
+        # The last row is the lenient one again, moved to t = 12.
+        rows = ["2,1,1", "10,2,1", row, "4,2,1", "11,1,1", row.replace("1", "12", 1)]
+        path = tmp_path / "traj.csv"
+        path.write_bytes(("# n=2 t_len=12" + eol + "t,i,x" + eol
+                          + eol.join(rows) + last).encode("ascii"))
+        expected = np.zeros((2, 12), dtype=np.uint8)
+        expected[[0, 1, 1, 0], [1, 9, 3, 10]] = 1
+        expected[cell] = 1
+        expected[cell[0], 11] = 1
+        assert np.array_equal(load_trajectory(path).x, expected)
+        assert np.array_equal(expected, trajectory_from_csv_reference(
+            path.read_text()))
 
     @pytest.mark.parametrize("row", ["1,1", "1,1,1,1", "a,1,1", "1,1,1.5", "1,,1",
                                      "# note", "1,1,0.9", "1.9,2,1", "1_0,1,1"])
@@ -331,6 +383,31 @@ class TestSerialization:
         path = tmp_path / "env.txt"
         path.write_text(f"{header}\n01\n10\n")
         with pytest.raises(InputError, match="bad environment header"):
+            load_environment(path)
+
+    @pytest.mark.parametrize("body, row", [
+        ("0a\n10\n", 0), ("01\n1\n", 1), ("01\n", 1), ("01\n102\n", 1),
+        ("2 1\n10\n", 0), ("01\n\n10\n", 1), ("01\n1/\n", 1),
+    ])
+    def test_environment_bad_rows_rejected(self, tmp_path, body, row):
+        path = tmp_path / "env.txt"
+        path.write_text("2 1 0.5 0\n" + body)
+        with pytest.raises(InputError, match=f"^bad environment row {row} in "):
+            load_environment(path)
+
+    def test_environment_rows_keep_their_whitespace_tolerance(self, tmp_path):
+        path = tmp_path / "env.txt"
+        path.write_text("2 1 0.5 0\r\n 01\t\r\n10 \n\n \t\n")
+        assert load_environment(path).theta.tolist() == [[0, 1], [1, 0]]
+        path.write_text("2 1 0.5 0\n01\n10")
+        assert load_environment(path).theta.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("tail, line", [("11\n", 4), ("\n \ngarbage\n", 6),
+                                            ("01", 4), ("\n\t# note", 5)])
+    def test_environment_content_after_last_row_rejected(self, tmp_path, tail, line):
+        path = tmp_path / "env.txt"
+        path.write_text("2 1 0.5 0\n01\n10\n" + tail)
+        with pytest.raises(InputError, match=f"line {line}: .* follows environment row 1"):
             load_environment(path)
 
     def test_trajectory_rows_checked_in_every_block(self, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from densigraph import (DepthExceededError, ModelParams, SiteField,
                         backward_walk, default_max_depth,
                         exact_stationary, perfect_sample, site_draw,
                         transition_probabilities, tv_distance)
-from densigraph.model import sample_environment
+from densigraph.model import InputError, sample_environment
 from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.perfect import _derive
 from densigraph.rng import DRAW_BUDGET, absorb_array
@@ -135,6 +135,10 @@ class TestBackwardWalk:
     def test_default_max_depth(self):
         assert default_max_depth(0.5) == 40
         assert default_max_depth(1.0) == 1
+        # A lam just large enough that 1 - lam < 1 keeps its (huge) bound.
+        assert default_max_depth(1.2e-16) == ceil(log(1e-12) / log(1.0 - 1.2e-16))
+        with pytest.raises(InputError, match="lam=1e-17 is too small"):
+            default_max_depth(1e-17)
 
 
 class TestPerfectSample:
