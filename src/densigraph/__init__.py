@@ -10,7 +10,7 @@ from .inversion import (InversionResult, LimitTriple, NonInvertibleError,
                         invert_triple, inverse_map, kappa, phi1, root_d,
                         select_branch)
 from .limits import (TheoreticalLimits, limit_inversion, limits, solve_c,
-                     solve_c_dense, solve_m, solve_m_dense)
+                     solve_m)
 from .model import (Environment, InputError, ModelParams, Partition,
                     Trajectory, build_partition, load_environment,
                     load_trajectory, sample_environment, save_environment,

@@ -16,8 +16,7 @@ inversion pipeline gives the environment-level parameter estimates that
 finite-T estimates converge to.
 
 Both systems are solved by fixed-point iteration (contraction factor at most
-1 - lam) on the signed kernel of `model.interaction_kernel`; a dense LU solve
-of the same kernel is kept as a cross-check of the iteration.
+1 - lam) on the signed kernel of `model.interaction_kernel`.
 """
 
 from __future__ import annotations
@@ -78,18 +77,6 @@ def solve_c(env: Environment, params: ModelParams) -> np.ndarray:
         return 1.0 + coef * (x @ signed)
 
     return _iterate(apply_map, np.ones(env.n), params.lam)
-
-
-def solve_m_dense(env: Environment, params: ModelParams) -> np.ndarray:
-    """Direct elimination solve of the mean system (cross-validation only)."""
-    base, signed, coef = interaction_kernel(env, params)
-    return np.linalg.solve(np.eye(env.n) - coef * signed, base)
-
-
-def solve_c_dense(env: Environment, params: ModelParams) -> np.ndarray:
-    """Direct elimination solve of the column-sum system (cross-validation only)."""
-    _, signed, coef = interaction_kernel(env, params)
-    return np.linalg.solve((np.eye(env.n) - coef * signed).T, np.ones(env.n))
 
 
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:

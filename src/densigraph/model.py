@@ -14,7 +14,6 @@ code; the excitatory population is always the prefix ``0 .. size_plus - 1``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import ceil
 
@@ -307,8 +306,9 @@ def load_trajectory(path) -> Trajectory:
     each ending at a line end.  A block whose every row is exactly
     ``digits,digits,digit`` (fields of at most 18 digits) is parsed with
     numpy byte operations; any other block (blank lines, signs, spaces,
-    other fields) goes through `np.loadtxt`, or `int` on each field.  Both
-    feed one range and repeat check.
+    other fields) goes through `int` on each field.  Both feed one range and
+    repeat check.  A header whose n x t_len matrix cannot be allocated is an
+    `InputError`.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -323,7 +323,11 @@ def load_trajectory(path) -> Trajectory:
             raise InputError(f"bad dimension header in {path}")
         if fh.readline().strip() != "t,i,x":
             raise InputError(f"missing column header in {path}")
-        x = np.zeros((n, t_len), dtype=np.uint8)
+        try:
+            x = np.zeros((n, t_len), dtype=np.uint8)
+        except (MemoryError, ValueError):
+            raise InputError(f"{path}: cannot allocate the n={n} x t_len={t_len} "
+                             f"matrix its header names") from None
         line_no = 3
         while text := fh.read(8 * _ROWS_PER_BLOCK):
             if text[-1] != "\n":
@@ -346,7 +350,7 @@ def _set_rows(x: np.ndarray, text: str, first: int, path) -> None:
         kept = [k for k, line in enumerate(lines) if line.strip()]
         if not kept:
             return
-        fields = _loadtxt_fields([lines[k] for k in kept])
+        fields = np.array([_int_row(lines[k]) for k in kept], dtype=object).T
     t, i, value = fields
     ok = (1 <= t) & (t <= t_len) & (1 <= i) & (i <= n) & ((value == 0) | (value == 1))
     stop = ok.size if ok.all() else int(ok.argmin())  # rows before the first bad one
@@ -402,21 +406,6 @@ def _decimal_values(digit: np.ndarray, start: np.ndarray,
         else:
             np.copyto(value, value * 10 + step, where=place < width)
     return value
-
-
-def _loadtxt_fields(rows: list[str]):
-    """The int64 (or int) fields t, i, x of each row; a row that is not three
-    integers gets (0, 0, 0), which no range admits."""
-    try:
-        # numpy before 2.4 parses a field such as "0.9" through a float and
-        # truncates it, with only a DeprecationWarning: make that an error.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            t, i, value = np.loadtxt(rows, dtype=np.int64, delimiter=",", ndmin=2,
-                                     comments=None).T
-    except (ValueError, DeprecationWarning):
-        t, i, value = np.array([_int_row(row) for row in rows], dtype=object).T
-    return t, i, value
 
 
 def _int_row(row: str) -> tuple[int, int, int]:

@@ -19,13 +19,14 @@ with no burn-in error.
 One engine serves both samplers.  `_derive` turns a chunk of columns into
 what the copy rule reads at each site -- the source J-1, the edge-and-copy
 mask and the gate -- comparing the top 53 bits of the site's word with
-integer cuts of lam and mu in place of u; `_apply` then builds each column
-from the one before it.  `perfect_sample` derives columns backward from
-time 1, follows all the column-1 walks through them at once, and applies
-the stored columns forward from zeros once the last walk regenerates;
-`_copy_columns` (which the forward sampler runs from its own start) derives
-and applies forward.  Row keys are hashed once per call, and at most
-`DRAW_BUDGET` sites are derived at a time.
+integer cuts of lam and mu in place of u; `_copy_columns` builds each column
+from the one before it.  `perfect_sample` is two steps: it draws only the
+sources and copy flags of the columns backward from time 1, following all
+the column-1 walks through them at once and keeping nothing but the live
+walks, until the last walk regenerates at depth D; then `_copy_columns` runs
+from zeros at field time 1 - D over the D + t_len - 1 columns that follow,
+as the forward sampler runs it from its own start.  Row keys are hashed once
+per call, and at most `DRAW_BUDGET` sites are drawn at a time.
 """
 
 from __future__ import annotations
@@ -169,35 +170,30 @@ def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
             times: np.ndarray) -> tuple[np.ndarray, ...]:
     """The draws at all rows of the columns ``times``, time-major, from row
     keys absorb(key, i), as the copy rule reads them: the source src, the
-    edge-and-copy mask A, the gate G = (F & A) | xi with the flip
-    F = (src inhibitory), and the copy flag."""
+    edge-and-copy mask A and the gate G = (F & A) | xi with the flip
+    F = (src inhibitory)."""
     src, copy, xi = field._split(word_array(row_keys, times[:, None]) >> _S11)
-    a = np.take(env.theta, src + np.arange(0, env.n * env.n, env.n))
+    a = env.theta.take(src + np.arange(0, env.n * env.n, env.n))
     a &= copy.view(np.uint8)
     g = (src >= env.partition.size_plus).view(np.uint8)
     g &= a
     g |= xi
-    return src, a, g, copy
-
-
-def _apply(x: np.ndarray, src: np.ndarray, a: np.ndarray, g: np.ndarray) -> None:
-    """The copy rule over the rows of src, a and g: x[r] = (x[r-1][src] & A) ^ G
-    for r = 1 .. len(src), one gather and two uint8 operations a column."""
-    for prev, cur, s, a_r, g_r in zip(x, x[1:], src, a, g):
-        np.bitwise_and(prev[s], a_r, out=cur)
-        cur ^= g_r
+    return src, a, g
 
 
 def _copy_columns(field: SiteField, env: Environment, x: np.ndarray, t0: int,
                   row_keys: np.ndarray) -> None:
     """Fill x[1:] of the time-major array x from x[0], the state at field time
-    t0, by the copy rule with the draws at field time t0 + r, derived in chunks
-    of `DRAW_BUDGET` sites."""
+    t0, by the copy rule x[r] = (x[r-1][src] & A) ^ G with the draws at field
+    time t0 + r, derived in chunks of `DRAW_BUDGET` sites: one gather and two
+    uint8 operations a column."""
     span = max(1, DRAW_BUDGET // env.n)
     for lo in range(1, len(x), span):
         hi = min(lo + span, len(x))
-        src, a, g, _ = _derive(field, env, row_keys, np.arange(t0 + lo, t0 + hi))
-        _apply(x[lo - 1:hi], src, a, g)
+        src, a, g = _derive(field, env, row_keys, np.arange(t0 + lo, t0 + hi))
+        for prev, cur, s, a_r, g_r in zip(x[lo - 1:hi], x[lo:hi], src, a, g):
+            np.bitwise_and(prev[s], a_r, out=cur)
+            cur ^= g_r
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
@@ -206,12 +202,11 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
 
     The walk from each site (i, 1) takes d_i draws and regenerates at time
     2 - d_i (`DepthExceededError` if one takes more than `max_depth` draws).
-    Columns are derived backward from time 1 in chunks, and all n walks
-    follow their sources through each chunk at once until the last one
-    regenerates.  The copy rule then runs from zeros at field time
-    1 - max d_i over the stored columns, which gives column 1 exactly, and
-    on over columns 2 .. t_len.  Window columns that fit beside the first
-    backward chunk within `DRAW_BUDGET` sites are derived with it.
+    The sources and copy flags of the columns at times 1, 0, -1, .. are drawn
+    in chunks, and all n walks follow their sources through each chunk at
+    once until the last one regenerates, at depth D = max d_i.  The copy rule
+    then runs from zeros at field time 1 - D, which gives column 1 exactly,
+    and on over columns 2 .. t_len.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -227,31 +222,24 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     # The first backward chunk is the smallest c with n (1 - lam)^c <= 1/16,
     # so at most about one call in 16 needs a second one; each later chunk
     # doubles.
-    want = ceil(min(span, log(16 * n) / -log1p(-lam))) if lam < 1.0 else 1
-    ahead = skip = max(0, min(t_len - 1, span - want))  # window columns 2 .. 1 + ahead
-    chunks, depth = [], 0
+    want = ceil(log(16 * n) / -log1p(-lam)) if lam < 1.0 else 1
+    depth = 0
     while site.size:  # depth columns walked so far, at times 2 - depth .. 1
         if depth == max_depth:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
                                      f"from {(int(start[0]), 1)}; increase "
                                      f"max_depth or check lam")
-        c = min(want, span - skip, max_depth - depth)
-        src, a, g, copy = _derive(field, env, row_keys,
-                                  np.arange(1 - depth + skip, 1 - depth - c, -1))
-        chunks.append((src, a, g))
-        for r in range(skip, skip + c):  # row skip is field time 1 - depth
-            keep = copy[r][site]
-            site, start = src[r][site[keep]], start[keep]
+        c = min(want, span, max_depth - depth)
+        times = np.arange(1 - depth, 1 - depth - c, -1)[:, None]
+        src, copy, _ = field._split(word_array(row_keys, times) >> _S11)
+        for src_r, copy_r in zip(src, copy):
+            keep = copy_r[site]
+            site, start = src_r[site[keep]], start[keep]
             depth += 1
             if not site.size:
                 break
-        want, skip = 2 * want, 0
+        want *= 2
     # time-major; row 0 holds zeros at field time 1 - depth, row depth is time 1
     x = np.zeros((depth + t_len, n), dtype=np.uint8)
-    src, a, g = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
-    last = ahead + depth - 1  # the stored rows run backward from time 1 + ahead
-    _apply(x, src[last::-1], a[last::-1], g[last::-1])
-    del chunks, src, a, g, copy  # not live while the forward chunks are derived
-    if t_len > 1 + ahead:
-        _copy_columns(field, env, x[ahead + depth:], 1 + ahead, row_keys)
+    _copy_columns(field, env, x, 1 - depth, row_keys)
     return Trajectory(x[depth:].T)

@@ -182,5 +182,26 @@ def stationary_means_reference(theta, size_plus, mu, lam):
     return np.linalg.solve(np.eye(n) - a, b)
 
 
+def _signed_system(theta, sign, lam):
+    """I - (1 - lam)/n * theta * sign, with theta scaled column by column by
+    the population sign vector (+1 excitatory, -1 inhibitory)."""
+    n = len(sign)
+    return np.eye(n) - (1 - lam) / n * (np.asarray(theta, dtype=float) * sign)
+
+
+def solve_m_dense(theta, sign, mu, lam):
+    """Per-site stationary means by LU on m = mu + (1 - lam)/n (A m + D 1),
+    where A is the signed graph and D counts each row's inhibitory edges."""
+    n = len(sign)
+    inhibitory = np.asarray(theta, dtype=float) @ (sign < 0)
+    return np.linalg.solve(_signed_system(theta, sign, lam),
+                           mu + (1 - lam) / n * inhibitory)
+
+
+def solve_c_dense(theta, sign, lam):
+    """Resolvent column sums by LU on c = 1 + (1 - lam)/n A^T c."""
+    return np.linalg.solve(_signed_system(theta, sign, lam).T, np.ones(len(sign)))
+
+
 def binomial_sigma(p, count):
     return math.sqrt(p * (1 - p) / count)

@@ -228,6 +228,19 @@ class TestEstimateInvertLimits:
             assert captured.err.startswith(f"{command[0]} error: ")
             assert expected in captured.err and captured.err.count("\n") == 1
 
+    # 8.9 PiB is past any address space, and 10^20 cells past numpy's index
+    # range: both are refused before anything is allocated.
+    @pytest.mark.parametrize("side", [10 ** 8, 10 ** 10])
+    def test_huge_header_exit_2(self, tmp_path, capsys, side):
+        huge = tmp_path / "huge.csv"
+        huge.write_text(f"# n={side} t_len={side}\nt,i,x\n1,1,1\n")
+        assert run_cli(["estimate", "--traj", str(huge)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("estimate error: ")
+        assert f"n={side} x t_len={side}" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_bad_delta_exit_2(self, tmp_path, capsys):
         traj_path = tmp_path / "traj.csv"
         run_cli(["sample", "--n", "6", "--t-len", "8", "--dump-traj", str(traj_path)])
