@@ -4,7 +4,8 @@
 whose one-step law is the model's transition probability, forward from
 ``x0`` placed at field time ``-burnin`` of the same site field.  Wherever the
 first column's backward walks regenerate within the burn-in, the recorded
-window is `perfect_sample`'s exact stationary window bit for bit.
+window is `perfect_sample`'s exact stationary window bit for bit.  The steps
+fill one time-major buffer, which the returned trajectory views.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
         _copy_columns(field, env, x[:steps + 1], t0, keys)
         x[0] = x[steps]
     _copy_columns(field, env, x, 0, keys)
+    x.flags.writeable = False  # handed over: the trajectory views rows 1 ..
     return Trajectory(x[1:].T)
 
 

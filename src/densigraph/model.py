@@ -10,6 +10,11 @@ Chain ``i`` fires at time ``t`` with probability
 given the previous configuration ``x``, where ``theta`` is a fixed directed
 graph whose edges are i.i.d. Bernoulli(p).  Sites are 0-based throughout the
 code; the excitatory population is always the prefix ``0 .. size_plus - 1``.
+
+Trajectories are stored time-major, one row of n sites per time, from the
+sampler that builds them to the file that holds them (whose rows are in time
+order too); `Trajectory.x` is the ``(n, T)`` transposed view of that storage,
+so no layer makes a transposing copy.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import numpy as np
 
 from .rng import DRAW_BUDGET, Stream, derive_key
 
-# Trajectory rows written per block, and about 8 characters a row read per
-# block: bounds the text held in memory.
-_ROWS_PER_BLOCK = 1 << 16
+# Trajectory cells scanned per written block (so at most as many rows), and
+# about 8 characters a row read per block: bounds what a block holds.
+_ROWS_PER_BLOCK = 1 << 14
 
 
 class InputError(ValueError):
@@ -134,12 +139,12 @@ class Environment:
     seed: int = 0
 
     def __post_init__(self):
-        theta = np.ascontiguousarray(self.theta, dtype=np.uint8)
+        theta = np.asarray(self.theta)
         n = self.partition.n
         if theta.shape != (n, n):
             raise ValueError(f"theta must be {n}x{n}, got {theta.shape}")
-        if theta.max(initial=0) > 1:
-            raise ValueError("theta entries must be 0 or 1")
+        _check_binary(theta, "theta")
+        theta = np.ascontiguousarray(theta, dtype=np.uint8)
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
@@ -215,17 +220,23 @@ class Trajectory:
     """Binary observation matrix, sites along rows and time along columns.
 
     Column ``t`` (0-based) holds the configuration at observation time t+1.
+    ``x`` is a read-only ``(n, T)`` view of time-major storage: ``x.T`` is a
+    C-contiguous ``(T, n)`` array, one row per time, as the samplers build it
+    and the file layer reads and writes it.  A read-only uint8 array in that
+    layout is taken over as it is (the samplers and `load_trajectory` hand
+    over their buffers so); any other array is copied into it.
     """
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.x, dtype=np.uint8)
+        x = np.asarray(self.x)
         if x.ndim != 2:
             raise ValueError(f"trajectory must be 2-D, got shape {x.shape}")
-        if x.max(initial=0) > 1:
-            raise ValueError("trajectory entries must be 0 or 1")
-        x.flags.writeable = False
+        _check_binary(x, "trajectory")
+        if x.dtype != np.uint8 or x.flags.writeable or not x.flags.f_contiguous:
+            x = x.astype(np.uint8, order="F")
+            x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
     @property
@@ -241,10 +252,27 @@ class Trajectory:
         return np.cumsum(self.x, axis=1, dtype=np.int64)
 
     def prefix(self, t_len: int) -> "Trajectory":
-        """View of the first t_len observation times."""
+        """View of the first t_len observation times: the first t_len rows of
+        the checked time-major storage, neither copied nor scanned again."""
         if not 1 <= t_len <= self.t_len:
             raise ValueError(f"prefix length {t_len} out of range")
-        return Trajectory(self.x[:, :t_len])
+        view = object.__new__(Trajectory)
+        object.__setattr__(view, "x", self.x[:, :t_len])
+        return view
+
+
+def _check_binary(a: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of `a` is 0 or 1, before a cast to
+    uint8 could wrap 256 onto 0 or truncate 0.5 onto 0: uint8 input takes
+    one max pass, bool input none."""
+    if a.dtype == np.bool_:
+        return
+    if a.dtype == np.uint8:
+        bad = a.max(initial=0) > 1
+    else:
+        bad = not np.all((a == 0) | (a == 1))
+    if bad:
+        raise ValueError(f"{what} entries must be 0 or 1")
 
 
 def save_environment(env: Environment, path) -> None:
@@ -260,40 +288,54 @@ def save_trajectory(traj: Trajectory, path_or_file) -> None:
     """Write a trajectory as sparse CSV: only x = 1 cells, columns t,i,x.
 
     Times and sites are 1-based in the file.  A leading comment line records
-    the matrix dimensions, which the sparse rows alone cannot recover.  Rows
-    are built `_ROWS_PER_BLOCK` at a time as one byte array: each row gathers
-    its ``t,`` and ``i,1\n`` bytes from tables of 0-padded decimals, and one
-    mask drops the padding.
+    the matrix dimensions, which the sparse rows alone cannot recover.  The
+    cells are found through a bool view of the time-major storage, whose
+    order is the file's row order, about `_ROWS_PER_BLOCK` cells at a time.
+    Each row gathers its ``t,`` and ``i,1\n`` bytes as whole 8-byte words
+    from one table of right-aligned decimals, padded in front with 0 bytes,
+    into one buffer that every block reuses; one pass deletes the padding.
     """
     own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     fh = open(path_or_file, "w", encoding="ascii") if own else path_or_file
     try:
-        fh.write(f"# n={traj.n} t_len={traj.t_len}\n")
+        n, t_len = traj.n, traj.t_len
+        fh.write(f"# n={n} t_len={t_len}\n")
         fh.write("t,i,x\n")
-        n = traj.n
-        t_text, i_text = _decimal_table(traj.t_len, b","), _decimal_table(n, b",1\n")
-        cells = np.flatnonzero(traj.x.T)  # time-major: the file's row order
-        for lo in range(0, cells.size, _ROWS_PER_BLOCK):
-            t, i = np.divmod(cells[lo:lo + _ROWS_PER_BLOCK], n)
-            text = np.hstack((t_text[t], i_text[i]))
-            fh.write(text[text != 0].tobytes().decode("ascii"))
+        cells = traj.x.T.view(np.bool_)  # (t_len, n), C-contiguous
+        words = -(-max(len(str(t_len)) + 1, len(str(n)) + 3) // 8)  # a field's
+        # Rows 0 .. t_len - 1 hold "t," and rows t_len .. t_len + n - 1 hold
+        # "i,1\n", so one take gathers both fields of every file row.
+        table = np.zeros((t_len + n, 8 * words), dtype=np.uint8)
+        _decimals(table[:t_len], b",")
+        _decimals(table[t_len:], b",1\n")
+        table = table.view(np.uint64)
+        span = max(1, min(t_len, _ROWS_PER_BLOCK // max(n, 1)))  # times a block
+        index = np.empty((span * n, 2), dtype=np.intp)
+        block = np.empty((span * n, 2, words), dtype=np.uint64)
+        for lo in range(0, t_len, span):
+            found = np.flatnonzero(cells[lo:lo + span])
+            rows = index[:found.size]
+            np.divmod(found, n, out=(rows[:, 0], rows[:, 1]))
+            rows[:, 0] += lo
+            rows[:, 1] += t_len
+            # mode="clip" lets take write straight into the block (the
+            # indices are in range anyway).
+            text = np.take(table, rows, axis=0, out=block[:found.size], mode="clip")
+            fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
     finally:
         if own:
             fh.close()
 
 
-def _decimal_table(count: int, tail: bytes) -> np.ndarray:
-    """Row k - 1 holds the ASCII decimal of k = 1..count, right-aligned with
-    0 bytes in front, then `tail`: a uint8 array of shape
-    (count, digits of count + len(tail))."""
-    width = len(str(count))
-    k = np.arange(1, count + 1)
-    table = np.zeros((count, width + len(tail)), dtype=np.uint8)
-    for place in range(width):
+def _decimals(table: np.ndarray, tail: bytes) -> None:
+    """Fill row k - 1 of the zeroed uint8 `table` with the ASCII decimal of
+    k = 1..len(table) then `tail`, right-aligned: 0 bytes stay in front."""
+    k = np.arange(1, len(table) + 1)
+    end = table.shape[1] - len(tail)
+    for place in range(len(str(len(table)))):
         power = 10 ** place
-        table[k >= power, width - 1 - place] = k[k >= power] // power % 10 + ord("0")
-    table[:, width:] = np.frombuffer(tail, dtype=np.uint8)
-    return table
+        table[k >= power, end - 1 - place] = k[k >= power] // power % 10 + ord("0")
+    table[:, end:] = np.frombuffer(tail, dtype=np.uint8)
 
 
 def load_trajectory(path) -> Trajectory:
@@ -307,8 +349,9 @@ def load_trajectory(path) -> Trajectory:
     ``digits,digits,digit`` (fields of at most 18 digits) is parsed with
     numpy byte operations; any other block (blank lines, signs, spaces,
     other fields) goes through `int` on each field.  Both feed one range and
-    repeat check.  A header whose n x t_len matrix cannot be allocated is an
-    `InputError`.
+    repeat check, which sets the cells of one time-major buffer through the
+    flat index ``t * n + i``; the trajectory is its transposed view.  A
+    header whose n x t_len matrix cannot be allocated is an `InputError`.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -324,7 +367,7 @@ def load_trajectory(path) -> Trajectory:
         if fh.readline().strip() != "t,i,x":
             raise InputError(f"missing column header in {path}")
         try:
-            x = np.zeros((n, t_len), dtype=np.uint8)
+            x = np.zeros((t_len, n), dtype=np.uint8)  # time-major
         except (MemoryError, ValueError):
             raise InputError(f"{path}: cannot allocate the n={n} x t_len={t_len} "
                              f"matrix its header names") from None
@@ -332,33 +375,36 @@ def load_trajectory(path) -> Trajectory:
         while text := fh.read(8 * _ROWS_PER_BLOCK):
             if text[-1] != "\n":
                 text += fh.readline()
-            _set_rows(x, text, line_no, path)
-            line_no += text.count("\n")
+            line_no += _set_rows(x, text, line_no, path)
     x &= 1
-    return Trajectory(x)
+    x.flags.writeable = False
+    return Trajectory(x.T)
 
 
-def _set_rows(x: np.ndarray, text: str, first: int, path) -> None:
-    """Set the cells of x named by a block of t,i,x lines starting at file
-    line `first` to 2 | x (2 marks a cell read), or raise an `InputError`
-    naming the first bad or repeated row."""
-    n, t_len = x.shape
-    fields = _canonical_fields(text if text[-1] == "\n" else text + "\n")
+def _set_rows(x: np.ndarray, text: str, first: int, path) -> int:
+    """Set the cells of the time-major x named by a block of t,i,x lines
+    starting at file line `first` to 2 | x (2 marks a cell read) and return
+    the number of lines, or raise an `InputError` naming the first bad or
+    repeated row."""
+    t_len, n = x.shape
+    text = text if text[-1] == "\n" else text + "\n"
+    fields = _canonical_fields(text)
     kept = None  # row r is line r, unless blank lines are skipped below
     if fields is None:
         lines = text.split("\n")
         kept = [k for k, line in enumerate(lines) if line.strip()]
         if not kept:
-            return
+            return len(lines) - 1
         fields = np.array([_int_row(lines[k]) for k in kept], dtype=object).T
     t, i, value = fields
     ok = (1 <= t) & (t <= t_len) & (1 <= i) & (i <= n) & ((value == 0) | (value == 1))
     stop = ok.size if ok.all() else int(ok.argmin())  # rows before the first bad one
-    t, i = t[:stop].astype(np.intp) - 1, i[:stop].astype(np.intp) - 1
-    repeat = x[i, t] > 1
-    cell = t * n + i  # time-major: a saved file's cells ascend, and timsort is linear
-    order = np.argsort(cell, kind="stable")
-    repeat[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
+    cell = (t[:stop].astype(np.intp) - 1) * n + i[:stop].astype(np.intp) - 1
+    flat = x.reshape(-1)
+    repeat = flat[cell] > 1
+    if not (cell[1:] > cell[:-1]).all():  # ascending cells, as saved, cannot repeat
+        order = np.argsort(cell, kind="stable")
+        repeat[order[1:][cell[order[1:]] == cell[order[:-1]]]] = True
     if repeat.any() or stop < ok.size:
         row = int(repeat.argmax()) if repeat.any() else stop
         k = row if kept is None else kept[row]
@@ -366,13 +412,14 @@ def _set_rows(x: np.ndarray, text: str, first: int, path) -> None:
         need = ("repeats the cell (t, i) of an earlier row" if row < stop else
                 f"needs t in 1..{t_len}, i in 1..{n} and x in {{0, 1}}")
         raise InputError(f"{path}, line {first + k}: {line!r} {need}")
-    x[i, t] = 2 | value
+    flat[cell] = 2 | value
+    return len(t) if kept is None else len(lines) - 1
 
 
 def _canonical_fields(text: str):
-    """The int64 fields t, i, x of a block of lines that each read exactly
-    ``digits,digits,digit`` then a line end, with at most 18 digits a field,
-    or None when any line differs."""
+    """The fields t, i (int64) and x (uint8) of a block of lines that each
+    read exactly ``digits,digits,digit`` then a line end, with at most 18
+    digits a field, or None when any line differs."""
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     digit = data - ord("0")  # wraps every byte but the ten digits above 9
     sep = np.flatnonzero(digit > 9)
@@ -381,14 +428,17 @@ def _canonical_fields(text: str):
     sep = sep.reshape(-1, 3)  # per line: the two commas and the line end
     start = np.concatenate(([0], sep[:-1, 2] + 1))
     t_width, i_width = sep[:, 0] - start, sep[:, 1] - sep[:, 0] - 1
-    if not ((data[sep] == np.frombuffer(b",,\n", dtype=np.uint8)).all()
+    # Every third non-digit is a line end, and the block holds two commas a
+    # line, so the other non-digits are all commas.
+    if not ((data[sep[:, 2]] == ord("\n")).all()
+            and np.count_nonzero(data == ord(",")) == 2 * len(sep)
             and (sep[:, 2] - sep[:, 1] == 2).all()
             and 1 <= min(t_width.min(), i_width.min())
             and max(t_width.max(), i_width.max()) <= 18):
         return None
     return (_decimal_values(digit, start, t_width),
             _decimal_values(digit, sep[:, 0] + 1, i_width),
-            digit[sep[:, 2] - 1].astype(np.int64))
+            digit[sep[:, 2] - 1])
 
 
 def _decimal_values(digit: np.ndarray, start: np.ndarray,

@@ -26,7 +26,9 @@ the column-1 walks through them at once and keeping nothing but the live
 walks, until the last walk regenerates at depth D; then `_copy_columns` runs
 from zeros at field time 1 - D over the D + t_len - 1 columns that follow,
 as the forward sampler runs it from its own start.  Row keys are hashed once
-per call, and at most `DRAW_BUDGET` sites are drawn at a time.
+per call, and at most `DRAW_BUDGET` sites are drawn at a time.  The returned
+trajectory views the window's rows of the time-major buffer, or a copy of
+them when the D rows before the window outnumber it.
 """
 
 from __future__ import annotations
@@ -242,4 +244,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     # time-major; row 0 holds zeros at field time 1 - depth, row depth is time 1
     x = np.zeros((depth + t_len, n), dtype=np.uint8)
     _copy_columns(field, env, x, 1 - depth, row_keys)
-    return Trajectory(x[depth:].T)
+    # Handed over as a view, unless the depth rows before the window outnumber it.
+    x = x[depth:].copy() if depth > t_len else x[depth:]
+    x.flags.writeable = False
+    return Trajectory(x.T)

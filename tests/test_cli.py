@@ -1,7 +1,7 @@
 import pytest
 
 from densigraph import estimate_all, load_environment, load_trajectory
-from densigraph import cli, experiment
+from densigraph import cli, experiment, model
 from densigraph.cli import main
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 
@@ -131,6 +131,22 @@ class TestSample:
                         "--sampler", "perfect", "--dump-traj", str(traj_path)])
         assert code == 0
         assert load_trajectory(traj_path).t_len == 12
+
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    @pytest.mark.parametrize("sampler", ["forward", "perfect"])
+    def test_stdout_equals_dumped_file(self, tmp_path, monkeypatch, capsys, block,
+                                       sampler):
+        # Without --dump-traj the trajectory goes to the sys.stdout text stream.
+        monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
+        args = ["sample", "--n", "30", "--t-len", "50", "--seed", "8",
+                "--sampler", sampler]
+        traj_path = tmp_path / "traj.csv"
+        assert run_cli([*args, "--dump-traj", str(traj_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(args) == 0
+        out = capsys.readouterr().out
+        assert out.encode("ascii") == traj_path.read_bytes()
+        assert out.count("\n") > 2 + 7
 
     @pytest.mark.parametrize("args, message", [
         (["--lambda", "2"], "lam must lie in (0, 1]"),

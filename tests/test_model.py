@@ -12,6 +12,8 @@ from densigraph import (Environment, InputError, ModelParams, Partition,
                         save_trajectory, transition_probabilities,
                         transition_probability)
 from densigraph import model
+from densigraph.forward import simulate, zero_state
+from densigraph.perfect import perfect_sample
 from densigraph.rng import DRAW_BUDGET
 from _reference import (environment_text_reference, sample_environment_reference,
                         trajectory_csv_reference, trajectory_from_csv_reference,
@@ -133,6 +135,21 @@ class TestSampleEnvironment:
         assert peak < 2 * 2**20
 
 
+class TestEnvironment:
+    @pytest.mark.parametrize("theta", [[[256, 1], [0, 257]], [[0.5, 1.0], [0.0, 1.0]],
+                                       [[-1, 0], [0, 1]], [[np.nan, 0], [0, 1]]],
+                             ids=["wraps", "truncates", "negative", "nan"])
+    def test_rejects_non_binary_before_the_cast(self, theta):
+        with pytest.raises(ValueError, match="theta entries must be 0 or 1"):
+            Environment(theta=np.array(theta), partition=build_partition(2, 0.5))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+    def test_binary_input_of_any_dtype_accepted(self, dtype):
+        env = Environment(theta=np.array([[0, 1], [1, 1]], dtype=dtype),
+                          partition=build_partition(2, 0.5))
+        assert env.theta.dtype == np.uint8 and env.theta.tolist() == [[0, 1], [1, 1]]
+
+
 class TestTransitionProbability:
     def test_all_zero_with_empty_inhibitory_set(self):
         # r_plus = 0.9, n = 4 makes every site excitatory
@@ -216,10 +233,109 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(np.array([[2, 0]], dtype=np.uint8))
 
+    # A uint8 cast would wrap 256, 257 onto 0, 1 and truncate 0.5 onto 0.
+    @pytest.mark.parametrize("x", [[[256, 257]], [[0.5, 1.0]], [[-1, 0]], [[np.nan, 1.0]],
+                                   [[0, 1 + 2**40]]],
+                             ids=["wraps", "truncates", "negative", "nan", "wide"])
+    def test_rejects_non_binary_before_the_cast(self, x):
+        with pytest.raises(ValueError, match="trajectory entries must be 0 or 1"):
+            Trajectory(np.array(x))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+    def test_binary_input_of_any_dtype_accepted(self, dtype):
+        traj = Trajectory(np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype))
+        assert traj.x.dtype == np.uint8
+        assert traj.x.tolist() == [[0, 1, 1], [1, 0, 0]]
+
     def test_immutable(self):
         traj = Trajectory(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(ValueError):
             traj.x[0, 0] = 1
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory `a` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestTimeMajorStorage:
+    """Every trajectory is an (n, T) view of a C-contiguous (T, n) buffer,
+    which the samplers and the loader hand over instead of copying."""
+
+    PARAMS = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=40)
+
+    def trajectories(self, tmp_path):
+        env = sample_environment(self.PARAMS, seed=3)
+        made = {
+            "simulate": simulate(env, self.PARAMS, zero_state(40), 30, burnin=5, seed=1),
+            "perfect_sample": perfect_sample(env, self.PARAMS, 30, seed=1),
+            "site-major": Trajectory(np.ones((40, 30), dtype=np.uint8)),
+            "bool": Trajectory(np.ones((30, 40), dtype=bool).T),
+        }
+        save_trajectory(made["simulate"], tmp_path / "traj.csv")
+        made["load_trajectory"] = load_trajectory(tmp_path / "traj.csv")
+        return made
+
+    def test_time_major_and_read_only(self, tmp_path):
+        for name, traj in self.trajectories(tmp_path).items():
+            assert traj.x.shape == (40, 30), name
+            assert traj.x.dtype == np.uint8 and traj.x.T.flags.c_contiguous, name
+            assert not traj.x.flags.writeable, name
+            with pytest.raises(ValueError):
+                traj.x[0, 0] = 1
+            prefix = traj.prefix(7)
+            assert np.shares_memory(prefix.x, traj.x), name
+            assert not prefix.x.flags.writeable and prefix.x.T.flags.c_contiguous, name
+
+    def test_prefix_is_not_scanned_again(self, tmp_path, monkeypatch):
+        traj = self.trajectories(tmp_path)["simulate"]
+        monkeypatch.setattr(model, "_check_binary", None)
+        assert np.array_equal(traj.prefix(12).x, traj.x[:, :12])
+
+    def test_read_only_time_major_uint8_is_taken_over(self):
+        buffer = np.zeros((6, 4), dtype=np.uint8)
+        buffer.flags.writeable = False
+        assert Trajectory(buffer.T).x.base is buffer
+
+    @pytest.mark.parametrize("layout", ["time-major", "site-major"])
+    def test_writable_view_is_copied(self, layout):
+        base = np.zeros((6, 4), dtype=np.uint8)
+        view = base.T if layout == "time-major" else base[1:3]
+        traj = Trajectory(view)
+        assert not np.shares_memory(traj.x, base)
+        base[...] = 1
+        assert not traj.x.any()
+
+    @pytest.mark.parametrize("sampler", ["simulate", "perfect_sample"])
+    def test_peak_memory_holds_no_second_copy(self, sampler):
+        # A copy of the (T, n) buffer took the peak to 2 n T bytes.
+        n, t_len = 200, 20000
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=n)
+        env = sample_environment(params, seed=1)
+        run = ((lambda: simulate(env, params, zero_state(n), t_len, burnin=20, seed=2))
+               if sampler == "simulate" else
+               (lambda: perfect_sample(env, params, t_len, seed=2)))
+        tracemalloc.start()
+        try:
+            traj = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.x.shape == (n, t_len)
+        assert peak < 1.5 * n * t_len, peak
+
+    @pytest.mark.parametrize("lam, t_len", [(0.05, 1), (0.05, 3), (0.5, 40),
+                                            (0.5, 200)])
+    def test_perfect_sample_pins_at_most_twice_its_window(self, lam, t_len):
+        # Where the depth D exceeds t_len, the window is copied out of the buffer.
+        params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.5, n=30)
+        env = sample_environment(params, seed=4)
+        traj = perfect_sample(env, params, t_len, seed=6)
+        assert owner(traj.x).nbytes <= 2 * 30 * t_len
+        assert np.array_equal(traj.x, perfect_sample(env, params, t_len + 5,
+                                                     seed=6).x[:, :t_len])
 
 
 class TestSerialization:
@@ -286,15 +402,24 @@ class TestSerialization:
         monkeypatch.setattr(model, "_ROWS_PER_BLOCK", block)
         rng = np.random.default_rng(block)
         # (101, 12), (12, 1001) and (1000, 3) take t and i across the 9 -> 10,
-        # 99 -> 100 and 999 -> 1000 digit widths.
+        # 99 -> 100 and 999 -> 1000 digit widths; at n = 100,000 an "i,1\n"
+        # field takes 9 bytes, past one 8-byte word.
         for shape, density in [((1, 1), 1.0), ((4, 3), 0.0), ((7, 13), 0.4),
                                ((30, 50), 0.9), ((101, 12), 0.5), ((12, 1001), 0.5),
-                               ((1000, 3), 0.5)]:
-            traj = Trajectory((rng.random(shape) < density).astype(np.uint8))
+                               ((1000, 3), 0.5), ((100_000, 3), 5e-4)]:
+            x = (rng.random(shape) < density).astype(np.uint8)
+            x[-1, -1] |= density > 0  # the widest t and i decimals are written
+            traj = Trajectory(x)
             path = tmp_path / "traj.csv"
             save_trajectory(traj, path)
             assert path.read_text() == trajectory_csv_reference(traj.x)
             assert np.array_equal(load_trajectory(path).x, traj.x)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_trajectory_saves_its_headers(self, tmp_path, shape):
+        path = tmp_path / "traj.csv"
+        save_trajectory(Trajectory(np.zeros(shape, dtype=np.uint8)), path)
+        assert path.read_text() == trajectory_csv_reference(np.zeros(shape))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 120), t_len=st.integers(1, 120),
