@@ -9,6 +9,7 @@ trajectory), `estimate` (moment statistics of a dumped trajectory), `invert`
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -138,6 +139,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache  # built once a process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densigraph",

@@ -4,8 +4,10 @@ moment estimation, inversion, and error summaries.
 A run draws, per replica, one fresh environment and one trajectory of length
 max(t_grid), evaluates the estimators on every prefix length in t_grid, runs
 the inversion, and (optionally) computes the environment's exact limits once.
-Rows come out in (varied value, T, replica) order and the whole run is a pure
-function of the config, so output files are byte-reproducible.
+Rows are gathered in (varied value as listed, T, replica) order, with no sort,
+and the whole run is a pure function of the config, so output files are
+byte-reproducible.  The block length ``delta`` is one setting: an int >= 1, or
+"log" for floor(ln T) at each horizon.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class ExperimentConfig:
     p: float
     t_grid: tuple[int, ...]
     n_simu: int
-    delta_mode: str          # "one" | "log" | "fixed"
-    delta_value: int
+    delta: int | str         # a block length >= 1, or "log" for floor(ln T)
     sampler: str             # "forward" | "perfect"
     master_seed: int
     vary_name: str | None
@@ -76,11 +77,13 @@ class ExperimentConfig:
             raise ConfigError("n_simu must be >= 1")
         if self.sampler not in ("forward", "perfect"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.delta_mode not in ("one", "log", "fixed"):
-            raise ConfigError(f"unknown delta mode {self.delta_mode!r}")
-        if self.delta_mode == "fixed":
-            try:  # the shortest horizon bounds a fixed delta
-                _check_double_delta(self.delta_value, self.t_grid[0])
+        if self.delta != "log":
+            if not isinstance(self.delta, int):
+                raise ConfigError(f"unknown delta mode {self.delta!r}")
+            if self.delta < 1:
+                raise ConfigError("delta must be >= 1")
+            try:  # the shortest horizon bounds an int delta
+                _check_double_delta(self.delta, self.t_grid[0])
             except InputError as exc:
                 raise ConfigError(str(exc)) from exc
         if self.vary_name is not None:
@@ -115,9 +118,8 @@ class ExperimentConfig:
         )
 
     def delta_for(self, t_len: int) -> int:
-        if self.delta_mode == "fixed":
-            return self.delta_value
-        return default_delta(t_len, self.delta_mode)
+        """The block length the estimators use at horizon ``t_len``."""
+        return default_delta(t_len, "log") if self.delta == "log" else self.delta
 
 
 @dataclass(frozen=True)
@@ -139,41 +141,25 @@ class ResultRow:
 def parse_config_text(text: str, overrides=()) -> ExperimentConfig:
     """Parse the flat key=value config format, then apply CLI overrides."""
     raw = dict(DEFAULTS)
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+    # (entry, message without "=", message prefix for an unknown key)
+    entries = [(line, f"line {no}: expected key = value", f"line {no}: unknown key")
+               for no, text_line in enumerate(text.splitlines(), start=1)
+               if (line := text_line.split("#", 1)[0].strip())]
+    entries += [(item, f"override {item!r}: expected key=value",
+                 "unknown override key") for item in overrides]
+    for entry, no_equals, unknown in entries:
+        if "=" not in entry:
+            raise ConfigError(no_equals)
+        key, value = (part.strip() for part in entry.split("=", 1))
         if key not in raw:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        raw[key] = value
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r}: expected key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        if key not in raw:
-            raise ConfigError(f"unknown override key {key!r}")
+            raise ConfigError(f"{unknown} {key!r}")
         raw[key] = value
     return _build_config(raw)
 
 
 def _build_config(raw: dict) -> ExperimentConfig:
     try:
-        delta_raw = raw["delta"].strip().lower()
-        if delta_raw in ("one", "1"):
-            delta_mode, delta_value = "one", 1
-        elif delta_raw == "log":
-            delta_mode, delta_value = "log", 0
-        else:
-            delta_mode, delta_value = "fixed", int(delta_raw)
-            if delta_value < 1:
-                raise ConfigError("delta must be >= 1")
-        vary_name = raw["vary"].strip() or None
-        vary_values = tuple(
-            float(v) for v in raw["vary_values"].split(",") if v.strip()
-        )
+        delta = raw["delta"].strip().lower()
         config = ExperimentConfig(
             n=int(raw["n"]),
             r_plus=float(raw["r_plus"]),
@@ -182,12 +168,12 @@ def _build_config(raw: dict) -> ExperimentConfig:
             p=float(raw["p"]),
             t_grid=tuple(int(t) for t in raw["t_grid"].split(",") if t.strip()),
             n_simu=int(raw["n_simu"]),
-            delta_mode=delta_mode,
-            delta_value=delta_value,
+            delta=delta if delta == "log" else 1 if delta == "one" else int(delta),
             sampler=raw["sampler"].strip(),
             master_seed=int(raw["seed"]),
-            vary_name=vary_name,
-            vary_values=vary_values,
+            vary_name=raw["vary"].strip() or None,
+            vary_values=tuple(
+                float(v) for v in raw["vary_values"].split(",") if v.strip()),
             compute_limits=_parse_bool(raw["limits"]),
         )
     except ConfigError:
@@ -219,13 +205,8 @@ def default_config(overrides=()) -> ExperimentConfig:
 def _replica_rows(config: ExperimentConfig, value_idx: int,
                   replica: int) -> list[ResultRow]:
     """All rows produced by one replica of one varied value."""
-    if config.vary_name is None:
-        vary, value = "", None
-        params = config.params_for(None)
-    else:
-        vary = config.vary_name
-        value = config.vary_values[value_idx]
-        params = config.params_for(value)
+    value = config.vary_values[value_idx] if config.vary_name else None
+    params = config.params_for(value)
     rs = derive_key(config.master_seed, "experiment", value_idx, replica)
     env = sample_environment(params, derive_key(rs, "env"))
     t_max = max(config.t_grid)
@@ -246,7 +227,7 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
         est = estimate_all(traj.prefix(t_len), config.delta_for(t_len))
         inv = invert(est, params.r_plus)
         rows.append(ResultRow(
-            vary=vary, value=value, t=t_len, replica=replica,
+            vary=config.vary_name or "", value=value, t=t_len, replica=replica,
             m_hat=est.m_hat, v_hat=est.v_hat, w_hat=est.w_hat, inv=inv,
             m_inf=None if lim is None else lim.m_inf,
             v_inf=None if lim is None else lim.v_inf,
@@ -261,7 +242,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
     config.validate()
-    n_values = 1 if config.vary_name is None else len(config.vary_values)
+    n_values = len(config.vary_values) if config.vary_name else 1
     tasks = [(vi, r) for vi in range(n_values) for r in range(config.n_simu)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -269,12 +250,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
                                    chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         chunks = [_replica_rows(config, vi, r) for vi, r in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    t_index = {t: k for k, t in enumerate(config.t_grid)}
-    value_index = {v: k for k, v in enumerate(config.vary_values)}
-    rows.sort(key=lambda r: (0 if r.value is None else value_index[r.value],
-                             t_index[r.t], r.replica))
-    return rows
+    # pool.map keeps task order; a replica's k-th row is at horizon t_grid[k]
+    return [chunks[vi * config.n_simu + r][k] for vi in range(n_values)
+            for k in range(len(config.t_grid)) for r in range(config.n_simu)]
 
 
 def _replica_task(args):
@@ -341,6 +319,11 @@ def _median_abs(errors) -> list[float]:
     return np.median(arr, axis=0).tolist()
 
 
+def _signed_errors(truth, m, v, w, inv: InversionResult) -> tuple:
+    """(m, v, w, mu, lambda, p) minus ``truth``, in that order."""
+    return tuple(x - x0 for x, x0 in zip((m, v, w, inv.mu, inv.lam, inv.p), truth))
+
+
 def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
     """Median absolute error per (varied value, T), plus limit-mark rows,
     against the parameters ``config.params_for(value)`` that made each row."""
@@ -350,27 +333,23 @@ def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
     marks: dict[tuple, dict] = {}
     for row in rows:
         tp = config.params_for(row.value)
-        m, v, w = forward_map_values(tp.mu, tp.lam, tp.p, tp.r_plus)
+        truth = (*forward_map_values(tp.mu, tp.lam, tp.p, tp.r_plus),
+                 tp.mu, tp.lam, tp.p)
         key = (row.vary, row.value)
         cells.setdefault(key + (row.t,), []).append(
-            (row.m_hat - m, row.v_hat - v, row.w_hat - w,
-             row.inv.mu - tp.mu, row.inv.lam - tp.lam, row.inv.p - tp.p))
+            _signed_errors(truth, row.m_hat, row.v_hat, row.w_hat, row.inv))
         if row.inv_inf is not None:
             # The mark is per replica; identical across this replica's T rows.
-            marks.setdefault(key, {})[row.replica] = (
-                row.m_inf - m, row.v_inf - v, row.w_inf - w,
-                row.inv_inf.mu - tp.mu, row.inv_inf.lam - tp.lam,
-                row.inv_inf.p - tp.p)
-    out = []
-    for (vary, value, t), errs in sorted(cells.items(),
-                                         key=lambda kv: (str(kv[0][0]),
-                                                         kv[0][1] or 0, kv[0][2])):
-        out.append(SummaryRow(vary, value, t, len(errs), *_median_abs(errs)))
-    for (vary, value), per_replica in sorted(marks.items(),
-                                             key=lambda kv: (str(kv[0][0]),
-                                                             kv[0][1] or 0)):
-        out.append(SummaryRow(vary, value, None, len(per_replica),
-                              *_median_abs(list(per_replica.values()))))
+            marks.setdefault(key, {})[row.replica] = _signed_errors(
+                truth, row.m_inf, row.v_inf, row.w_inf, row.inv_inf)
+
+    def order(item):  # by varied value, then T
+        return (str(item[0][0]), item[0][1] or 0, *item[0][2:])
+
+    out = [SummaryRow(*key, len(errs), *_median_abs(errs))
+           for key, errs in sorted(cells.items(), key=order)]
+    out += [SummaryRow(*key, None, len(errs), *_median_abs(list(errs.values())))
+            for key, errs in sorted(marks.items(), key=order)]
     return out
 
 

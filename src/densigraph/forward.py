@@ -17,10 +17,14 @@ from .perfect import SiteField, _copy_columns, default_max_depth
 from .rng import absorb_array
 
 
-def default_burnin(lam: float, tail: float = 1e-6) -> int:
-    """Steps after which the regeneration tail (1-lam)^k drops below `tail`:
-    the depth bound of a backward walk, or 0 when every site regenerates."""
-    return 0 if lam >= 1.0 else default_max_depth(lam, tail)
+BURNIN_TAIL = 1e-6
+
+
+def default_burnin(lam: float) -> int:
+    """Steps after which the regeneration tail (1-lam)^k drops below
+    `BURNIN_TAIL`: the depth bound of a backward walk, or 0 when every site
+    regenerates."""
+    return 0 if lam >= 1.0 else default_max_depth(lam, BURNIN_TAIL)
 
 
 def simulate(env: Environment, params: ModelParams, x0, t_len: int,

@@ -131,6 +131,9 @@ class Environment:
     ``theta[i, j] = 1`` means the directed edge j -> i is present, i.e. chain
     j influences chain i.  ``p`` and ``seed`` record how the matrix was
     sampled (for serialization); they are NaN / 0 for hand-built fixtures.
+    ``theta`` is read-only uint8 in C order: such an array is taken over as it
+    is (`sample_environment` and `load_environment` hand over their buffers
+    so); any other array is copied, so the caller's array stays its own.
     """
 
     theta: np.ndarray
@@ -144,8 +147,10 @@ class Environment:
         if theta.shape != (n, n):
             raise ValueError(f"theta must be {n}x{n}, got {theta.shape}")
         _check_binary(theta, "theta")
-        theta = np.ascontiguousarray(theta, dtype=np.uint8)
-        theta.flags.writeable = False
+        if (theta.dtype != np.uint8 or theta.flags.writeable
+                or not theta.flags.c_contiguous):
+            theta = theta.astype(np.uint8, order="C")
+            theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -166,6 +171,7 @@ def sample_environment(params: ModelParams, seed: int) -> Environment:
     for lo in range(0, n * n, DRAW_BUDGET):
         block = theta[lo:lo + DRAW_BUDGET]
         np.less(stream.uniforms(block.size), params.p, out=block)
+    theta.flags.writeable = False  # handed over, not copied
     return Environment(
         theta=theta.reshape(n, n),
         partition=build_partition(n, params.r_plus),
@@ -493,4 +499,5 @@ def load_environment(path) -> Environment:
         if line.strip():
             raise InputError(f"{path}, line {n + 2 + k}: {line.strip()!r} follows "
                              f"environment row {n - 1}")
+    theta.flags.writeable = False  # handed over, not copied
     return Environment(theta=theta, partition=partition, p=p, seed=seed)

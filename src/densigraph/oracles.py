@@ -20,6 +20,9 @@ from .rng import absorb_array, derive_key
 
 MAX_EXACT_SITES = 12
 
+STATIONARY_TOL = 1e-13
+STATIONARY_MAX_ITER = 100_000
+
 
 @dataclass(frozen=True)
 class ExactDistribution:
@@ -74,17 +77,16 @@ def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
     return matrix
 
 
-def exact_stationary(env: Environment, params: ModelParams,
-                     tol: float = 1e-13, max_iter: int = 100_000) -> ExactDistribution:
+def exact_stationary(env: Environment, params: ModelParams) -> ExactDistribution:
     """Stationary law by power iteration on the full transition matrix."""
     matrix = transition_matrix(env, params)
     size = matrix.shape[0]
     pi = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         nxt = pi @ matrix
         change = float(np.max(np.abs(nxt - pi)))
         pi = nxt
-        if change < tol:
+        if change < STATIONARY_TOL:
             return ExactDistribution(probs=pi / pi.sum())
     raise RuntimeError("power iteration did not converge")
 

@@ -145,11 +145,6 @@ class Stream:
         self.key = key & MASK64
         self.counter = 0
 
-    def uniform(self) -> float:
-        u = uniform01(word(self.key, self.counter))
-        self.counter += 1
-        return u
-
     def uniforms(self, n: int) -> np.ndarray:
         x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n

@@ -57,6 +57,15 @@ class TestRun:
         assert code == 0
         assert out.read_text().count("\n") == 2 + 1  # 2 rows + header
 
+    def test_one_parser_and_no_leaked_overrides(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config, jobs: seen.append(config) or [])
+        assert run_cli(["run", "--set", "n=7"]) == 0
+        assert run_cli(["run", "--set", "p=0.3"]) == 0
+        assert [(c.n, c.p) for c in seen] == [(7, 0.5), (500, 0.3)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("bogus = 1\n")

@@ -29,21 +29,38 @@ class TestConfigParsing:
         assert config.r_plus == 0.5 and config.beta == 0.5
         assert config.lam == 0.5 and config.p == 0.5
         assert config.n_simu == 1000
-        assert config.delta_mode == "one"
+        assert config.delta == 1
         assert config.sampler == "forward"
         assert config.compute_limits
 
     def test_overrides_and_comments(self):
         config = parse_config_text("n = 10  # small\n", ["p=0.3", "delta=log"])
         assert config.n == 10 and config.p == 0.3
-        assert config.delta_mode == "log"
+        assert config.delta == "log"
 
     def test_delta_modes(self):
-        assert parse_config_text("", ["delta=1"]).delta_mode == "one"
-        assert parse_config_text("", ["delta=log"]).delta_mode == "log"
+        assert parse_config_text("", ["delta=1"]).delta == 1
+        assert parse_config_text("", ["delta=log"]).delta == "log"
         fixed = parse_config_text("", ["delta=5"])
-        assert fixed.delta_mode == "fixed" and fixed.delta_value == 5
+        assert fixed.delta == 5
         assert fixed.delta_for(1000) == 5
+
+    def test_delta_one_and_zero(self):
+        assert parse_config_text("delta = one\n").delta_for(1000) == 1
+        with pytest.raises(ConfigError, match="^delta must be >= 1$"):
+            parse_config_text("delta = 0\n")
+
+    @pytest.mark.parametrize("text, overrides, message", [
+        ("n = 8\n\nbogus\n", (), "line 3: expected key = value"),
+        ("n = 8\n# note\nbogus = 1  # x\n", (), "line 3: unknown key 'bogus'"),
+        ("", ("n=8", "p"), "override 'p': expected key=value"),
+        ("", ("",), "override '': expected key=value"),
+        ("", ("bogus = 1",), "unknown override key 'bogus'"),
+    ])
+    def test_error_texts(self, text, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text, overrides)
+        assert str(info.value) == message
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -136,6 +153,19 @@ class TestRunExperiment:
         rows = run_experiment(config)
         assert len(rows) == 4
         assert {(r.vary, r.value) for r in rows} == {("p", 0.3), ("p", 0.7)}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_vary_rows_keep_the_listed_order(self, jobs):
+        config = parse_config_text(
+            "n = 6\nt_grid = 50,100\nn_simu = 3\nlimits = true\n",
+            ["vary=p", "vary_values=0.7,0.3"])
+        rows = run_experiment(config, jobs=jobs)
+        assert [(r.value, r.t, r.replica) for r in rows] == [
+            (value, t, replica) for value in (0.7, 0.3) for t in (50, 100)
+            for replica in range(3)]
+        summary = summarize(rows, config)
+        assert [(s.value, s.t) for s in summary] == [
+            (0.3, 50), (0.3, 100), (0.7, 50), (0.7, 100), (0.3, None), (0.7, None)]
 
     def test_csv_header_contract(self):
         assert CSV_HEADER == ("vary,value,T,replica,m_hat,v_hat,w_hat,"

@@ -149,6 +149,35 @@ class TestEnvironment:
                           partition=build_partition(2, 0.5))
         assert env.theta.dtype == np.uint8 and env.theta.tolist() == [[0, 1], [1, 1]]
 
+    def test_caller_array_is_copied_and_stays_writable(self):
+        base = np.zeros(4, np.uint8)
+        env = Environment(theta=base.reshape(2, 2), partition=build_partition(2, 0.5))
+        base[0] = 1
+        assert env.theta.tolist() == [[0, 0], [0, 0]]
+        assert base.flags.writeable and not env.theta.flags.writeable
+        fortran = np.asfortranarray(np.array([[0, 1], [0, 0]], np.uint8))
+        fortran.flags.writeable = False
+        env = Environment(theta=fortran, partition=build_partition(2, 0.5))
+        assert env.theta.flags.c_contiguous and env.theta.tolist() == [[0, 1], [0, 0]]
+
+    def test_read_only_c_order_uint8_is_taken_over(self):
+        theta = np.array([[0, 1], [1, 0]], np.uint8)
+        theta.flags.writeable = False
+        assert Environment(theta=theta, partition=build_partition(2, 0.5)).theta is theta
+
+    def test_sampler_and_loader_hand_over_their_buffers(self, tmp_path, monkeypatch):
+        handed = []
+        real = model.Environment
+        monkeypatch.setattr(model, "Environment",
+                            lambda **kw: handed.append(kw["theta"]) or real(**kw))
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=30)
+        env = sample_environment(params, 3)
+        save_environment(env, tmp_path / "env.txt")
+        loaded = load_environment(tmp_path / "env.txt")
+        for got, theta in zip((env, loaded), handed):
+            assert np.shares_memory(got.theta, theta)
+            assert not got.theta.flags.writeable
+
 
 class TestTransitionProbability:
     def test_all_zero_with_empty_inhibitory_set(self):

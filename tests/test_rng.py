@@ -45,14 +45,13 @@ def test_derive_key_distinguishes_labels_and_is_stable():
 
 
 def test_stream_scalar_and_batch_agree():
-    s1 = Stream(derive_key(0, "s"))
-    s2 = Stream(derive_key(0, "s"))
-    singles = [s1.uniform() for _ in range(20)]
-    batch = s2.uniforms(20)
+    key = derive_key(0, "s")
+    singles = [uniform01(word(key, k)) for k in range(20)]
+    batch = Stream(key).uniforms(20)
     assert np.array_equal(np.array(singles), batch)
     # interleaving keeps the counter consistent
-    s3 = Stream(derive_key(0, "s"))
-    mixed = list(s3.uniforms(5)) + [s3.uniform()] + list(s3.uniforms(14))
+    s3 = Stream(key)
+    mixed = list(s3.uniforms(5)) + list(s3.uniforms(1)) + list(s3.uniforms(14))
     assert np.array_equal(np.array(mixed), batch)
 
 
