@@ -1,9 +1,8 @@
 """densigraph: simulation and connection-density inference for binary
 interacting chains coupled through a random directed graph."""
 
-from .estimators import (MomentEstimates, default_delta, estimate_all,
-                         spatial_variance, spatio_temporal_mean,
-                         temporal_variance, w_delta)
+from .estimators import (MomentEstimates, estimate_all, spatial_variance,
+                         spatio_temporal_mean, temporal_variance, w_delta)
 from .forward import default_burnin, simulate, zero_state
 from .inversion import (InversionResult, LimitTriple, NonInvertibleError,
                         denominator, forward_map, forward_map_values, invert,

@@ -24,7 +24,6 @@ and are kept as its test oracles; `estimate_all` equals them bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, log
 
 import numpy as np
 
@@ -113,17 +112,6 @@ def temporal_variance(traj: Trajectory, delta: int) -> float:
     """Bias-corrected combination 2 W_{2 delta} - W_delta."""
     _check_double_delta(delta, traj.t_len)
     return 2.0 * w_delta(traj, 2 * delta) - w_delta(traj, delta)
-
-
-def default_delta(t_len: int, mode: str = "one") -> int:
-    """Default block length: 1, or floor(ln T) clamped to at least 1."""
-    if t_len < 4:
-        raise ValueError(f"t_len must be >= 4, got {t_len}")
-    if mode == "one":
-        return 1
-    if mode == "log":
-        return max(1, floor(log(t_len)))
-    raise ValueError(f"unknown delta mode {mode!r}")
 
 
 def estimate_all(traj: Trajectory, delta: int) -> MomentEstimates:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import floor, log
 
 import numpy as np
 
-from .estimators import _check_double_delta, default_delta, estimate_all
+from .estimators import _check_double_delta, estimate_all
 from .forward import default_burnin, simulate, zero_state
 from .inversion import InversionResult, forward_map_values, invert
 from .limits import limit_inversion, limits
@@ -119,7 +120,7 @@ class ExperimentConfig:
 
     def delta_for(self, t_len: int) -> int:
         """The block length the estimators use at horizon ``t_len``."""
-        return default_delta(t_len, "log") if self.delta == "log" else self.delta
+        return max(1, floor(log(t_len))) if self.delta == "log" else self.delta
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ whose one-step law is the model's transition probability, forward from
 ``x0`` placed at field time ``-burnin`` of the same site field.  Wherever the
 first column's backward walks regenerate within the burn-in, the recorded
 window is `perfect_sample`'s exact stationary window bit for bit.  The steps
-fill one time-major buffer, which the returned trajectory views.
+fill one time-major buffer, handed over through `model._adopt` unscanned:
+the returned trajectory views its rows after the start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import Environment, InputError, ModelParams, Trajectory
+from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
+                    _check_binary)
 from .perfect import SiteField, _copy_columns, default_max_depth
 from .rng import absorb_array
 
@@ -42,11 +44,10 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
     if burnin < 0:
         raise InputError(f"burnin must be >= 0, got {burnin}")
     n = env.n
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0 = np.asarray(x0)
     if x0.shape != (n,):
         raise InputError(f"x0 must have length {n}, got shape {x0.shape}")
-    if not ((x0 == 0.0) | (x0 == 1.0)).all():
-        raise InputError("x0 entries must be 0 or 1")
+    _check_binary(x0, "x0")
 
     field = SiteField(seed, params)
     keys = absorb_array(field.key, np.arange(n))
@@ -57,8 +58,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
         _copy_columns(field, env, x[:steps + 1], t0, keys)
         x[0] = x[steps]
     _copy_columns(field, env, x, 0, keys)
-    x.flags.writeable = False  # handed over: the trajectory views rows 1 ..
-    return Trajectory(x[1:].T)
+    return _adopt(Trajectory, x=x[1:].T)
 
 
 def zero_state(n: int) -> np.ndarray:

@@ -131,9 +131,9 @@ class Environment:
     ``theta[i, j] = 1`` means the directed edge j -> i is present, i.e. chain
     j influences chain i.  ``p`` and ``seed`` record how the matrix was
     sampled (for serialization); they are NaN / 0 for hand-built fixtures.
-    ``theta`` is read-only uint8 in C order: such an array is taken over as it
-    is (`sample_environment` and `load_environment` hand over their buffers
-    so); any other array is copied, so the caller's array stays its own.
+    ``theta`` is read-only uint8 in C order.  A caller's array is checked and
+    copied, so it stays the caller's own; `sample_environment` and
+    `load_environment` hand over their fresh buffers through `_adopt`.
     """
 
     theta: np.ndarray
@@ -147,10 +147,8 @@ class Environment:
         if theta.shape != (n, n):
             raise ValueError(f"theta must be {n}x{n}, got {theta.shape}")
         _check_binary(theta, "theta")
-        if (theta.dtype != np.uint8 or theta.flags.writeable
-                or not theta.flags.c_contiguous):
-            theta = theta.astype(np.uint8, order="C")
-            theta.flags.writeable = False
+        theta = theta.astype(np.uint8, order="C")
+        theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -171,13 +169,9 @@ def sample_environment(params: ModelParams, seed: int) -> Environment:
     for lo in range(0, n * n, DRAW_BUDGET):
         block = theta[lo:lo + DRAW_BUDGET]
         np.less(stream.uniforms(block.size), params.p, out=block)
-    theta.flags.writeable = False  # handed over, not copied
-    return Environment(
-        theta=theta.reshape(n, n),
-        partition=build_partition(n, params.r_plus),
-        p=params.p,
-        seed=seed,
-    )
+    return _adopt(Environment, theta=theta.reshape(n, n),
+                  partition=build_partition(n, params.r_plus), p=params.p,
+                  seed=seed)
 
 
 def transition_probability(env: Environment, params: ModelParams,
@@ -228,9 +222,9 @@ class Trajectory:
     Column ``t`` (0-based) holds the configuration at observation time t+1.
     ``x`` is a read-only ``(n, T)`` view of time-major storage: ``x.T`` is a
     C-contiguous ``(T, n)`` array, one row per time, as the samplers build it
-    and the file layer reads and writes it.  A read-only uint8 array in that
-    layout is taken over as it is (the samplers and `load_trajectory` hand
-    over their buffers so); any other array is copied into it.
+    and the file layer reads and writes it.  A caller's array is checked and
+    copied into that layout; the samplers and `load_trajectory` hand over
+    their fresh buffers through `_adopt`.
     """
 
     x: np.ndarray
@@ -240,9 +234,8 @@ class Trajectory:
         if x.ndim != 2:
             raise ValueError(f"trajectory must be 2-D, got shape {x.shape}")
         _check_binary(x, "trajectory")
-        if x.dtype != np.uint8 or x.flags.writeable or not x.flags.f_contiguous:
-            x = x.astype(np.uint8, order="F")
-            x.flags.writeable = False
+        x = x.astype(np.uint8, order="F")
+        x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
     @property
@@ -262,13 +255,24 @@ class Trajectory:
         the checked time-major storage, neither copied nor scanned again."""
         if not 1 <= t_len <= self.t_len:
             raise ValueError(f"prefix length {t_len} out of range")
-        view = object.__new__(Trajectory)
-        object.__setattr__(view, "x", self.x[:, :t_len])
-        return view
+        return _adopt(Trajectory, x=self.x[:, :t_len])
+
+
+def _adopt(cls, **fields):
+    """A frozen `cls` instance over the package's own fresh 0/1 uint8 buffers,
+    already in the class's layout, with no check and no copy.  Each array
+    field is marked read-only; the producer keeps no other reference it
+    writes through, so the instance's arrays stay as handed over."""
+    adopted = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(adopted, name, value)
+    return adopted
 
 
 def _check_binary(a: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every entry of `a` is 0 or 1, before a cast to
+    """Raise InputError unless every entry of `a` is 0 or 1, before a cast to
     uint8 could wrap 256 onto 0 or truncate 0.5 onto 0: uint8 input takes
     one max pass, bool input none."""
     if a.dtype == np.bool_:
@@ -278,7 +282,7 @@ def _check_binary(a: np.ndarray, what: str) -> None:
     else:
         bad = not np.all((a == 0) | (a == 1))
     if bad:
-        raise ValueError(f"{what} entries must be 0 or 1")
+        raise InputError(f"{what} entries must be 0 or 1")
 
 
 def save_environment(env: Environment, path) -> None:
@@ -383,8 +387,7 @@ def load_trajectory(path) -> Trajectory:
                 text += fh.readline()
             line_no += _set_rows(x, text, line_no, path)
     x &= 1
-    x.flags.writeable = False
-    return Trajectory(x.T)
+    return _adopt(Trajectory, x=x.T)
 
 
 def _set_rows(x: np.ndarray, text: str, first: int, path) -> int:
@@ -499,5 +502,4 @@ def load_environment(path) -> Environment:
         if line.strip():
             raise InputError(f"{path}, line {n + 2 + k}: {line.strip()!r} follows "
                              f"environment row {n - 1}")
-    theta.flags.writeable = False  # handed over, not copied
-    return Environment(theta=theta, partition=partition, p=p, seed=seed)
+    return _adopt(Environment, theta=theta, partition=partition, p=p, seed=seed)

@@ -29,13 +29,13 @@ class ExactDistribution:
     """Distribution over binary configurations, little-endian indexing.
 
     probs[k] is the probability of the configuration whose site-i bit is
-    (k >> i) & 1.
+    (k >> i) & 1.  ``probs`` is a read-only float64 copy of the caller's array.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 

@@ -28,7 +28,8 @@ from zeros at field time 1 - D over the D + t_len - 1 columns that follow,
 as the forward sampler runs it from its own start.  Row keys are hashed once
 per call, and at most `DRAW_BUDGET` sites are drawn at a time.  The returned
 trajectory views the window's rows of the time-major buffer, or a copy of
-them when the D rows before the window outnumber it.
+them when the D rows before the window outnumber it, handed over through
+`model._adopt` with no second scan or copy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from math import ceil, log, log1p
 
 import numpy as np
 
-from .model import Environment, InputError, ModelParams, Trajectory
+from .model import Environment, InputError, ModelParams, Trajectory, _adopt
 from .rng import (_S11, _U01, DRAW_BUDGET, absorb, absorb_array, derive_key,
                   label64, uniform01, word, word_array)
 
@@ -212,8 +213,6 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
-    if params.lam <= 0.0:
-        raise ValueError("perfect sampling requires lam > 0")
     max_depth = _depth_bound(max_depth, params.lam)
 
     field = SiteField(seed, params)
@@ -246,5 +245,4 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     _copy_columns(field, env, x, 1 - depth, row_keys)
     # Handed over as a view, unless the depth rows before the window outnumber it.
     x = x[depth:].copy() if depth > t_len else x[depth:]
-    x.flags.writeable = False
-    return Trajectory(x.T)
+    return _adopt(Trajectory, x=x.T)

@@ -1,11 +1,11 @@
 import tracemalloc
+from math import floor, log
 
 import numpy as np
 import pytest
 
-from densigraph import (Trajectory, default_delta, estimate_all,
-                        spatial_variance, spatio_temporal_mean,
-                        temporal_variance, w_delta)
+from densigraph import (Trajectory, estimate_all, spatial_variance,
+                        spatio_temporal_mean, temporal_variance, w_delta)
 
 from _reference import (block_variance_reference, mean_reference,
                         spatial_variance_reference,
@@ -103,19 +103,6 @@ class TestTemporalVariance:
         temporal_variance(t, 2)
 
 
-class TestDefaultDelta:
-    def test_modes(self):
-        assert default_delta(1000, "one") == 1
-        assert default_delta(1000, "log") == 6
-        assert default_delta(4, "log") == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_delta(3, "one")
-        with pytest.raises(ValueError):
-            default_delta(100, "sqrt")
-
-
 class TestEstimateAll:
     def test_saturated(self):
         est = estimate_all(traj(np.ones((3, 8))), 1)
@@ -152,7 +139,7 @@ class TestEstimateAll:
         (5, 2001, "log"), (500, 257, 1)])
     def test_bit_identical_to_per_statistic_functions(self, n, t_len, delta):
         if delta == "log":
-            delta = default_delta(t_len, "log")
+            delta = max(1, floor(log(t_len)))
         rng = np.random.default_rng(n * t_len)
         t = traj(rng.random((n, t_len)) < rng.uniform(0.1, 0.9))
         est = estimate_all(t, delta)

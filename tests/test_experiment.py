@@ -50,6 +50,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="^delta must be >= 1$"):
             parse_config_text("delta = 0\n")
 
+    def test_log_delta_is_floor_ln_t_at_least_one(self):
+        config = parse_config_text("", ["delta=log", "t_grid=4,1000"])
+        assert config.delta_for(1000) == 6
+        assert config.delta_for(4) == 1
+
+    def test_delta_needs_a_known_mode_and_horizons_of_four(self):
+        with pytest.raises(ConfigError, match="t_grid must be .* >= 4"):
+            parse_config_text("", ["delta=one", "t_grid=3"])
+        with pytest.raises(ConfigError):
+            parse_config_text("", ["delta=sqrt"])
+
     @pytest.mark.parametrize("text, overrides, message", [
         ("n = 8\n\nbogus\n", (), "line 3: expected key = value"),
         ("n = 8\n# note\nbogus = 1  # x\n", (), "line 3: unknown key 'bogus'"),

@@ -5,7 +5,7 @@ from densigraph import (ModelParams, backward_walk, build_partition,
                         default_burnin, perfect_sample, sample_environment,
                         simulate, transition_probabilities, zero_state)
 from densigraph.rng import DRAW_BUDGET
-from densigraph.model import Environment
+from densigraph.model import Environment, InputError
 from densigraph.oracles import column_indices
 
 from _reference import binomial_sigma, simulate_reference
@@ -109,6 +109,14 @@ def test_input_validation():
         x0[1] = bad
         with pytest.raises(ValueError, match="0 or 1"):
             simulate(env, params, x0, 5, seed=1)
+
+
+@pytest.mark.parametrize("x0", [[0, 2, 0], ["0", "1", "0"]], ids=["two", "text"])
+def test_x0_is_checked_by_the_shared_binary_check(x0):
+    params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=3)
+    env = sample_environment(params, seed=0)
+    with pytest.raises(InputError, match="^x0 entries must be 0 or 1$"):
+        simulate(env, params, x0, 5, seed=1)
 
 
 def _block(n):

@@ -11,7 +11,7 @@ from densigraph import (Environment, InputError, ModelParams, Partition,
                         load_trajectory, sample_environment, save_environment,
                         save_trajectory, transition_probabilities,
                         transition_probability)
-from densigraph import model
+from densigraph import forward, model, perfect
 from densigraph.forward import simulate, zero_state
 from densigraph.perfect import perfect_sample
 from densigraph.rng import DRAW_BUDGET
@@ -160,23 +160,43 @@ class TestEnvironment:
         env = Environment(theta=fortran, partition=build_partition(2, 0.5))
         assert env.theta.flags.c_contiguous and env.theta.tolist() == [[0, 1], [0, 0]]
 
-    def test_read_only_c_order_uint8_is_taken_over(self):
+    def test_read_only_c_order_uint8_is_copied(self):
         theta = np.array([[0, 1], [1, 0]], np.uint8)
         theta.flags.writeable = False
-        assert Environment(theta=theta, partition=build_partition(2, 0.5)).theta is theta
+        env = Environment(theta=theta, partition=build_partition(2, 0.5))
+        assert not np.shares_memory(env.theta, theta)
+        assert env.theta.flags.c_contiguous and not env.theta.flags.writeable
+        assert env.theta.tolist() == [[0, 1], [1, 0]]
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.zeros((2, 2), np.uint8)
+        view = base.view()
+        view.flags.writeable = False
+        env = Environment(theta=view, partition=build_partition(2, 0.5))
+        base[0, 0] = 1
+        assert env.theta.tolist() == [[0, 0], [0, 0]]
 
     def test_sampler_and_loader_hand_over_their_buffers(self, tmp_path, monkeypatch):
+        # Every producer hands its fresh buffer to `_adopt`, which keeps it
+        # as the instance's array, read-only and uncopied.
         handed = []
-        real = model.Environment
-        monkeypatch.setattr(model, "Environment",
-                            lambda **kw: handed.append(kw["theta"]) or real(**kw))
+        real = model._adopt
+        for module in (model, forward, perfect):
+            monkeypatch.setattr(module, "_adopt",
+                                lambda cls, **kw: handed.append(kw) or real(cls, **kw))
         params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=30)
         env = sample_environment(params, 3)
         save_environment(env, tmp_path / "env.txt")
-        loaded = load_environment(tmp_path / "env.txt")
-        for got, theta in zip((env, loaded), handed):
-            assert np.shares_memory(got.theta, theta)
-            assert not got.theta.flags.writeable
+        traj = simulate(env, params, zero_state(30), 20, burnin=5, seed=1)
+        save_trajectory(traj, tmp_path / "traj.csv")
+        made = [env, traj, load_environment(tmp_path / "env.txt"),
+                perfect_sample(env, params, 20, seed=1),
+                load_trajectory(tmp_path / "traj.csv"), traj.prefix(7)]
+        assert len(handed) == len(made)
+        for got, fields in zip(made, handed):
+            name = "theta" if isinstance(got, Environment) else "x"
+            assert getattr(got, name) is fields[name]
+            assert not getattr(got, name).flags.writeable
 
 
 class TestTransitionProbability:
@@ -323,10 +343,20 @@ class TestTimeMajorStorage:
         monkeypatch.setattr(model, "_check_binary", None)
         assert np.array_equal(traj.prefix(12).x, traj.x[:, :12])
 
-    def test_read_only_time_major_uint8_is_taken_over(self):
+    def test_read_only_time_major_uint8_is_copied(self):
         buffer = np.zeros((6, 4), dtype=np.uint8)
         buffer.flags.writeable = False
-        assert Trajectory(buffer.T).x.base is buffer
+        traj = Trajectory(buffer.T)
+        assert not np.shares_memory(traj.x, buffer)
+        assert traj.x.T.flags.c_contiguous and not traj.x.flags.writeable
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        base = np.zeros((6, 4), dtype=np.uint8)
+        view = base.view()
+        view.flags.writeable = False
+        traj = Trajectory(view.T)
+        base[0, 0] = 1
+        assert not traj.x.any()
 
     @pytest.mark.parametrize("layout", ["time-major", "site-major"])
     def test_writable_view_is_copied(self, layout):

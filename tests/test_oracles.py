@@ -55,6 +55,16 @@ class TestExactStationary:
             exact_stationary(env, params)
 
 
+class TestExactDistribution:
+    def test_probs_are_a_read_only_copy(self):
+        p = np.full(4, 0.25)
+        dist = ExactDistribution(p)
+        assert p.flags.writeable and not np.shares_memory(dist.probs, p)
+        assert not dist.probs.flags.writeable
+        p[0] = 1.0
+        assert dist.probs.tolist() == [0.25] * 4
+
+
 class TestTvDistance:
     def test_identical(self):
         d = ExactDistribution(probs=np.array([0.25, 0.75]))
