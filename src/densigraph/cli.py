@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (repeatable)")
     p_run.add_argument("--out", default=None, help="output CSV path")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for replicas")
+                       help="processes that compute replicas, this one "
+                            "included (more than 1 needs os.fork)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sample = sub.add_parser("sample", help="draw one trajectory")

@@ -13,7 +13,10 @@ byte-reproducible.  The block length ``delta`` is one setting: an int >= 1, or
 from __future__ import annotations
 
 import io
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
 from math import floor, log
 
@@ -239,25 +242,102 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
-    """Execute the full batch; rows in (varied value, T, replica) order."""
+    """Execute the full batch; rows in (varied value, T, replica) order.
+
+    ``jobs`` counts the processes that compute replicas, this one included.
+    """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
     config.validate()
     n_values = len(config.vary_values) if config.vary_name else 1
     tasks = [(vi, r) for vi in range(n_values) for r in range(config.n_simu)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_replica_task, [(config, vi, r) for vi, r in tasks],
-                                   chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        chunks = [_replica_rows(config, vi, r) for vi, r in tasks]
-    # pool.map keeps task order; a replica's k-th row is at horizon t_grid[k]
+    chunks = _run_tasks(config, tasks, jobs)
+    # a replica's k-th row is at horizon t_grid[k]
     return [chunks[vi * config.n_simu + r][k] for vi in range(n_values)
             for k in range(len(config.t_grid)) for r in range(config.n_simu)]
 
 
-def _replica_task(args):
-    return _replica_rows(*args)
+def _run_tasks(config: ExperimentConfig, tasks: list, jobs: int) -> list:
+    """The rows of each task, in task order.
+
+    Worker k computes tasks k, k + jobs, ...  Worker 0 is this process; the
+    others are forked children that each send their rows back as one pickle
+    over a pipe.  Every child is reaped before this returns or raises.
+    """
+    jobs = min(jobs, len(tasks))
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise InputError(f"jobs={jobs} needs os.fork, which this platform lacks")
+    children = []   # (pid, read end of its pipe) of workers 1, 2, ...
+    finished = False
+    try:
+        for k in range(1, jobs):
+            _fork_worker(children, config, tasks[k::jobs])
+        shares = [[_replica_rows(config, *task) for task in tasks[::jobs]]]
+        replies = [pipe.read() for _, pipe in children]
+        finished = True
+    finally:
+        statuses = []
+        for pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, (reply, status) in enumerate(zip(replies, statuses), start=1):
+        if status != 0 or not reply:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise RuntimeError(f"worker {k} ended without a result: {how}")
+        ok, value, child_traceback = pickle.loads(reply)   # our own child's bytes
+        if not ok:
+            raise value from RuntimeError(f"traceback in worker {k}:\n"
+                                          f"{child_traceback}")
+        shares.append(value)
+    chunks = [None] * len(tasks)
+    for k, share in enumerate(shares):
+        chunks[k::jobs] = share
+    return chunks
+
+
+def _fork_worker(children: list, config: ExperimentConfig, tasks: list) -> None:
+    """Fork a child that computes ``tasks`` and writes their rows to a pipe;
+    append (pid, the pipe's read end) to ``children``."""
+    read_fd, write_fd = os.pipe()
+    # SIGINT waits until the parent has recorded the child and the child is
+    # inside the try that ends it, so an interrupt can neither lose a child
+    # nor send one back into the parent's code.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            raise
+        if pid == 0:
+            _child_main(config, tasks, read_fd, write_fd, mask)
+        children.append((pid, os.fdopen(read_fd, "rb")))
+    finally:
+        os.close(write_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _child_main(config, tasks, read_fd, write_fd, mask):
+    """A forked worker's whole life.  It ends only through os._exit, so it
+    never flushes the parent's stdio buffers nor runs its finally blocks or
+    atexit handlers; exit code 0 means the whole reply was written."""
+    code = 1
+    try:
+        os.close(read_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            reply = pickle.dumps(
+                (True, [_replica_rows(config, *task) for task in tasks], ""))
+        except Exception as exc:
+            reply = pickle.dumps((False, exc, traceback.format_exc()))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(reply)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _fmt(x: float | None) -> str:

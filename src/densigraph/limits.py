@@ -61,27 +61,36 @@ def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
 
 def solve_m(env: Environment, params: ModelParams) -> np.ndarray:
     """Per-site stationary firing probabilities; last step < FIXED_POINT_TOL."""
-    base, signed, coef = interaction_kernel(env, params)
-
-    def apply_map(x):
-        return base + coef * (signed @ x)
-
-    return _iterate(apply_map, np.full(env.n, params.mu), params.lam)
+    return _solve_m(interaction_kernel(env, params), params)
 
 
 def solve_c(env: Environment, params: ModelParams) -> np.ndarray:
     """Resolvent column sums: c = 1 + (1-lam) A^T c; |c_i| <= 1/lam."""
-    _, signed, coef = interaction_kernel(env, params)
+    return _solve_c(interaction_kernel(env, params), params)
+
+
+def _solve_m(kernel, params: ModelParams) -> np.ndarray:
+    base, signed, coef = kernel
+
+    def apply_map(x):
+        return base + coef * (signed @ x)
+
+    return _iterate(apply_map, np.full(len(base), params.mu), params.lam)
+
+
+def _solve_c(kernel, params: ModelParams) -> np.ndarray:
+    _, signed, coef = kernel
 
     def apply_map(x):
         return 1.0 + coef * (x @ signed)
 
-    return _iterate(apply_map, np.ones(env.n), params.lam)
+    return _iterate(apply_map, np.ones(len(signed)), params.lam)
 
 
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:
     """Long-time limits (m_inf, v_inf, w_inf) for the given environment."""
-    m_vec, c_vec = solve_m(env, params), solve_c(env, params)
+    kernel = interaction_kernel(env, params)   # built once for both solves
+    m_vec, c_vec = _solve_m(kernel, params), _solve_c(kernel, params)
     m_inf = float(m_vec.mean())
     dev = m_vec - m_inf
     v_inf = float(dev @ dev)

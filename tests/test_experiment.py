@@ -1,13 +1,19 @@
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from densigraph import experiment
+from densigraph.cli import main
 from densigraph.experiment import (CSV_HEADER, ConfigError, ResultRow,
                                    default_config, parse_config_text,
                                    row_to_csv, rows_to_csv, run_experiment,
                                    summarize, summary_to_csv)
 from densigraph.inversion import InversionResult, forward_map_values
+from densigraph.model import InputError
 
 SMALL = """
 n = 8
@@ -139,10 +145,21 @@ class TestRunExperiment:
             if row.t == 100:
                 assert row_to_csv(row) == short[row.replica]
 
-    def test_parallel_matches_serial(self):
-        config = small_config()
-        assert rows_to_csv(run_experiment(config, jobs=2)) == rows_to_csv(
-            run_experiment(config, jobs=1))
+    @pytest.mark.parametrize("jobs", [2, 3, 9])
+    def test_parallel_matches_serial(self, monkeypatch, jobs):
+        config = small_config()   # 4 tasks
+        serial = rows_to_csv(run_experiment(config, jobs=1))
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        assert rows_to_csv(run_experiment(config, jobs=jobs)) == serial
+        assert len(forks) == min(jobs, 4) - 1
+        assert_no_child_left()
+
+    def test_jobs_above_one_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(InputError, match="^jobs=2 needs os.fork"):
+            run_experiment(small_config(), jobs=2)
+        assert len(run_experiment(small_config(), jobs=1)) == 8
 
     def test_limits_fields_populated(self):
         config = parse_config_text(
@@ -165,7 +182,7 @@ class TestRunExperiment:
         assert len(rows) == 4
         assert {(r.vary, r.value) for r in rows} == {("p", 0.3), ("p", 0.7)}
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 7])
     def test_vary_rows_keep_the_listed_order(self, jobs):
         config = parse_config_text(
             "n = 6\nt_grid = 50,100\nn_simu = 3\nlimits = true\n",
@@ -192,6 +209,90 @@ class TestRunExperiment:
             "n = 4\nt_grid = 30\nn_simu = 2\nlimits = false\nsampler = perfect\n")
         rows = run_experiment(config)
         assert len(rows) == 2
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, if the block takes longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRunnerFailures:
+    """Worker k of a two-job run computes replicas k, k + 2, ..., so replica 0
+    runs in this process and replica 1 in the forked child."""
+
+    @pytest.fixture
+    def fail_replica(self, monkeypatch):
+        def install(replica, fail):
+            real = experiment._replica_rows
+
+            def replica_rows(config, value_idx, r):
+                if r == replica:
+                    fail()
+                return real(config, value_idx, r)
+
+            monkeypatch.setattr(experiment, "_replica_rows", replica_rows)
+        return install
+
+    @staticmethod
+    def bad_input():
+        raise InputError("replica rejected its input")
+
+    @pytest.mark.parametrize("replica", [0, 1])
+    def test_input_error_is_the_same_at_two_jobs(self, fail_replica, replica):
+        fail_replica(replica, self.bad_input)
+        raised = {}
+        for jobs in (1, 2):
+            with deadline(60), pytest.raises(InputError) as info:
+                run_experiment(small_config(), jobs=jobs)
+            raised[jobs] = (type(info.value), str(info.value))
+            assert_no_child_left()
+        assert raised[2] == raised[1] == (InputError, "replica rejected its input")
+
+    def test_cli_exits_2_on_a_worker_input_error(self, fail_replica, tmp_path,
+                                                 capsys):
+        fail_replica(1, self.bad_input)
+        code = main(["run", "--set", "n=8", "--set", "t_grid=100",
+                     "--set", "n_simu=4", "--jobs", "2",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "run error: replica rejected its input\n"
+        assert not (tmp_path / "x.csv").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(7), "exit code 7"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ])
+    def test_child_that_dies_without_a_result(self, fail_replica, end, status):
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() == parent:
+                raise AssertionError("replica 1 ran in the parent")
+            end()
+
+        fail_replica(1, die)
+        with deadline(60), pytest.raises(
+                RuntimeError, match=f"^worker 1 ended without a result: {status}$"):
+            run_experiment(small_config(), jobs=2)
+        assert_no_child_left()
 
 
 def make_row(p_hat, t=100, replica=0, vary="", value=None):
