@@ -17,8 +17,8 @@ rounding error.
 
 `estimate_all` reads the trajectory once per axis: the per-time totals give
 n * Zbar, whose one cumsum serves m_hat, W_D and W_2D, and the per-site totals
-give v_hat.  The per-statistic functions compute each statistic on its own
-and are kept as its test oracles; `estimate_all` equals them bit for bit.
+give v_hat.  Its test oracles are the loop references of the tests, written
+from the formulas above.
 """
 
 from __future__ import annotations
@@ -42,23 +42,12 @@ class MomentEstimates:
     w_2delta: float
 
 
-def _site_average_counts(traj: Trajectory) -> np.ndarray:
-    """Total signals per time, summed over sites: n * Zbar[t], int64, len T."""
-    return np.cumsum(traj.x.sum(axis=0, dtype=np.int64))
-
-
 def _axis_counts(x: np.ndarray, axis: int) -> np.ndarray:
     """Signals per line of a 0/1 matrix summed over `axis`, exact, int64.
     Sums below 2^16 accumulate in uint16: at n=500, T=2000 that is about 1.8x
     faster than uint32 and 3x faster than int64."""
     narrow = x.shape[axis] < 1 << 16
     return x.sum(axis=axis, dtype=np.uint16 if narrow else np.int64).astype(np.int64)
-
-
-def _check_delta(delta: int, t_len: int) -> None:
-    """Reject a block length outside [1, floor(T/2)] for W_delta."""
-    if not 1 <= delta <= t_len // 2:
-        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
 
 
 def _check_double_delta(delta: int, t_len: int) -> None:
@@ -70,20 +59,8 @@ def _check_double_delta(delta: int, t_len: int) -> None:
         )
 
 
-def spatio_temporal_mean(traj: Trajectory) -> float:
-    """Fraction of (site, time) cells carrying a signal."""
-    t_len = traj.t_len
-    total = int(traj.x.sum(dtype=np.int64))
-    return total / (traj.n * t_len)
-
-
-def spatial_variance(traj: Trajectory) -> float:
-    """Across-site dispersion of the final cumulative counts."""
-    return _spatial_variance(traj.x.sum(axis=1, dtype=np.int64), traj.t_len)
-
-
 def _spatial_variance(z_final: np.ndarray, t: int) -> float:
-    """`spatial_variance` from the per-site totals Z[i, T]."""
+    """v_hat from the per-site totals Z[i, T]."""
     n = len(z_final)
     sum_sq = int((z_final * z_final).sum())
     zbar = int(z_final.sum()) / n
@@ -91,14 +68,8 @@ def _spatial_variance(z_final: np.ndarray, t: int) -> float:
     return ((t + 1) * n / t**3) * inner
 
 
-def w_delta(traj: Trajectory, delta: int) -> float:
-    """Block-increment variance W_delta of the site-averaged counts."""
-    _check_delta(delta, traj.t_len)
-    return _w_delta(_site_average_counts(traj), traj.n, delta)
-
-
 def _w_delta(totals: np.ndarray, n: int, delta: int) -> float:
-    """`w_delta` from the per-time totals n * Zbar[t] of `_site_average_counts`."""
+    """W_delta from the cumulative per-time totals n * Zbar[t]."""
     t_len = len(totals)
     m_hat = totals[-1] / (n * t_len)
     k = t_len // delta
@@ -108,21 +79,16 @@ def _w_delta(totals: np.ndarray, n: int, delta: int) -> float:
     return (n / t_len) * float(dev @ dev)
 
 
-def temporal_variance(traj: Trajectory, delta: int) -> float:
-    """Bias-corrected combination 2 W_{2 delta} - W_delta."""
-    _check_double_delta(delta, traj.t_len)
-    return 2.0 * w_delta(traj, 2 * delta) - w_delta(traj, delta)
-
-
 def estimate_all(traj: Trajectory, delta: int) -> MomentEstimates:
     """All three statistics on one trajectory, sharing a block length.
 
-    Bit for bit the per-statistic functions, from one reduction per axis:
-    the per-time totals (whose cumsum serves m_hat, W_delta and W_{2 delta})
-    and the per-site totals (v_hat).
+    One reduction per axis: the per-time totals (whose cumsum serves m_hat,
+    W_delta and W_{2 delta}) and the per-site totals (v_hat).  Both block
+    lengths are checked first.
     """
     t_len = traj.t_len
-    _check_delta(delta, t_len)
+    if not 1 <= delta <= t_len // 2:
+        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
     _check_double_delta(delta, t_len)
     n = traj.n
     totals = np.cumsum(_axis_counts(traj.x, 0))

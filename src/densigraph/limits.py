@@ -10,10 +10,14 @@ and the column-sum vector of the resolvent solves
 
     c = 1 + (1-lam) * A^T c,   A[i,j] = +/- theta[i,j] / n
 
-(sign by the column's population).  From these the long-time limits of the
-three trajectory statistics follow in closed form; pushing them through the
-inversion pipeline gives the environment-level parameter estimates that
-finite-T estimates converge to.
+(sign by the column's population).  From these, m_inf and v_inf are the
+exact long-time limits of m_hat and v_hat.  w_inf = mean(c^2 m (1 - m)) is
+only the leading-order term of the long-run variance that w_hat estimates:
+it leaves out the variance of each site's firing probability, so at n = 1 it
+reads beta (1 - beta) / lam^2 against the exact beta (1 - beta) (2 - lam) / lam,
+and the relative gap shrinks about as 1/n (ROADMAP.md, open item 2).  Pushing
+the triple through the inversion pipeline gives the environment-level
+parameter estimates.
 
 Both systems are solved by fixed-point iteration (contraction factor at most
 1 - lam) on the signed kernel of `model.interaction_kernel`.
@@ -34,7 +38,8 @@ FIXED_POINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class TheoreticalLimits:
-    """Long-time limits of the three trajectory statistics, theta fixed."""
+    """Limits of the three trajectory statistics, theta fixed: m_inf and v_inf
+    exact, w_inf the leading-order term of the long-run variance."""
 
     m_inf: float
     v_inf: float
@@ -88,7 +93,7 @@ def _solve_c(kernel, params: ModelParams) -> np.ndarray:
 
 
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:
-    """Long-time limits (m_inf, v_inf, w_inf) for the given environment."""
+    """(m_inf, v_inf, w_inf) for the given environment; see the module doc."""
     kernel = interaction_kernel(env, params)   # built once for both solves
     m_vec, c_vec = _solve_m(kernel, params), _solve_c(kernel, params)
     m_inf = float(m_vec.mean())

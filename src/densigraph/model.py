@@ -1,5 +1,5 @@
 """Core model objects: parameters, population partition, random environment,
-trajectories, and the single-site transition probability.
+trajectories, and the transition probabilities.
 
 The system is a collection of ``n`` binary chains evolving in discrete time.
 Chain ``i`` fires at time ``t`` with probability
@@ -174,22 +174,6 @@ def sample_environment(params: ModelParams, seed: int) -> Environment:
                   seed=seed)
 
 
-def transition_probability(env: Environment, params: ModelParams,
-                           x, i: int) -> float:
-    """Firing probability of site i given the previous configuration x."""
-    n = env.n
-    if not 0 <= i < n:
-        raise IndexError(f"site index {i} out of range for n={n}")
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"x must have length {n}, got shape {x.shape}")
-    sp = env.partition.size_plus
-    row = env.theta[i]
-    active_plus = int(row[:sp] @ x[:sp])
-    silent_minus = int(row[sp:].sum()) - int(row[sp:] @ x[sp:])
-    return params.mu + (1.0 - params.lam) * ((active_plus + silent_minus) / n)
-
-
 def interaction_kernel(env: Environment, params: ModelParams):
     """Affine form of the transition probabilities: p(x) = base + coef * (B @ x).
 
@@ -211,8 +195,11 @@ def interaction_kernel(env: Environment, params: ModelParams):
 def transition_probabilities(env: Environment, params: ModelParams,
                              x) -> np.ndarray:
     """Vector of firing probabilities for all sites given configuration x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (env.n,):
+        raise InputError(f"x must have length {env.n}, got shape {x.shape}")
     base, signed, coef = interaction_kernel(env, params)
-    return base + coef * (signed @ np.asarray(x, dtype=np.float64))
+    return base + coef * (signed @ x)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (Environment, InputError, ModelParams,
                     transition_probabilities)
-from .perfect import SiteField, default_max_depth, perfect_sample
+from .perfect import SiteField, _depth_bound, perfect_sample
 from .rng import absorb_array, derive_key
 
 MAX_EXACT_SITES = 12
@@ -116,8 +116,7 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
         raise InputError("coalescence probe needs two distinct sites")
     if not (0 <= z1[0] < params.n and 0 <= z2[0] < params.n):
         raise InputError(f"site indices {z1[0]}, {z2[0]} must lie in 0..{params.n - 1}")
-    if max_depth is None:
-        max_depth = default_max_depth(params.lam)
+    max_depth = _depth_bound(max_depth, params.lam)
     field = SiteField(0, params)  # parameters only; per-trial keys replace field.key
     keys = absorb_array(derive_key(seed, "coalescence"),
                         np.arange(trials, dtype=np.int64))
@@ -161,8 +160,13 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
 def covariance_mc(env: Environment, params: ModelParams, z1: tuple[int, int],
                   z2: tuple[int, int], samples: int,
                   seed: int) -> tuple[float, float]:
-    """Stationary covariance of two sites, from independent exact windows."""
+    """Stationary covariance of two sites, from independent exact windows.
+    Returns the estimate and its standard error."""
+    if samples < 2:
+        raise InputError(f"samples must be >= 2, got {samples}")
     (i1, t1), (i2, t2) = z1, z2
+    if not (0 <= i1 < env.n and 0 <= i2 < env.n):
+        raise InputError(f"site indices {i1}, {i2} must lie in 0..{env.n - 1}")
     t_lo = min(t1, t2)
     span = max(t1, t2) - t_lo + 1
     x1 = np.empty(samples)

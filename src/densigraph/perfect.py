@@ -34,14 +34,13 @@ them when the D rows before the window outnumber it, handed over through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log, log1p
 
 import numpy as np
 
 from .model import Environment, InputError, ModelParams, Trajectory, _adopt
-from .rng import (_S11, _U01, DRAW_BUDGET, absorb, absorb_array, derive_key,
-                  label64, uniform01, word, word_array)
+from .rng import (_S11, _U01, DRAW_BUDGET, absorb_array, derive_key, label64,
+                  word_array)
 
 # Label of the site field's key, hashed once at import.
 _FIELD_LABEL = label64("site-field")
@@ -51,30 +50,6 @@ _TWO53 = 2.0 ** 53
 
 class DepthExceededError(RuntimeError):
     """A backward walk failed to regenerate within the depth bound."""
-
-
-@dataclass(frozen=True)
-class SiteDraw:
-    """Per-site randomness: neighbor label j (0 = regenerate) and value bit xi.
-
-    P(j = 0) = lam and P(j = k) = (1 - lam)/n for 1 <= k <= n.  Both come from
-    the site's one uniform, so xi is defined only where the site regenerates:
-    there it is Bernoulli(beta), elsewhere it is 0.
-    """
-
-    j: int
-    xi: int
-
-
-@dataclass(frozen=True)
-class BackwardWalk:
-    """Trace of one backward walk from `start` down to its regeneration site."""
-
-    start: tuple[int, int]
-    path: tuple[tuple[int, int], ...]
-    regen_time: int
-    regen_site: int
-    regen_value: int
 
 
 def default_max_depth(lam: float, tail: float = 1e-12) -> int:
@@ -95,28 +70,23 @@ class SiteField:
     different sites see one shared field.
     """
 
-    __slots__ = ("key", "lam", "mu", "n", "scale", "lam_cut", "mu_cut")
+    __slots__ = ("key", "lam", "n", "scale", "lam_cut", "mu_cut")
 
     def __init__(self, seed: int, params: ModelParams):
         self.key = derive_key(seed, _FIELD_LABEL)
-        self.lam, self.mu, self.n = params.lam, params.mu, params.n
+        self.lam, self.n = params.lam, params.n
         # Spreads the copy branch [lam, 1) over labels 1..n; lam = 1 never copies.
         self.scale = self.n / (1.0 - self.lam) if self.lam < 1.0 else 0.0
         # u = k 2^-53 is exact for the top 53 bits k of a word, so for a real
         # x, u < x exactly when k < ceil(x 2^53) (x 2^53 is exact too).
         self.lam_cut = ceil(self.lam * _TWO53)
-        self.mu_cut = ceil(self.mu * _TWO53)
-
-    def draw(self, i: int, t: int) -> tuple[int, int]:
-        """(j, xi) at site (i, t); j uses the 0-= regenerate convention."""
-        u = uniform01(word(absorb(self.key, i), t))
-        if u < self.lam:
-            return 0, int(u < self.mu)
-        return min(self.n, 1 + int((u - self.lam) * self.scale)), 0
+        self.mu_cut = ceil(params.mu * _TWO53)
 
     def draw_batch(self, keys, i, t) -> tuple[np.ndarray, np.ndarray]:
-        """`draw` over arrays, bit for bit: int64 j and uint8 xi.  ``keys`` (the
-        field key, or one per coalescence trial) broadcasts against i and t."""
+        """(j, xi) at the sites (i, t): int64 j, 0 where the site regenerates,
+        else the 1-based label of the site it copies, and uint8 xi.  ``keys``
+        (the field key, or one per coalescence trial) broadcasts against i
+        and t."""
         src, copy, xi = self._split(word_array(absorb_array(keys, i), t) >> _S11)
         src += 1
         src *= copy
@@ -135,38 +105,13 @@ class SiteField:
         return f.astype(np.int64), copy, xi
 
 
-def site_draw(seed: int, params: ModelParams, site: tuple[int, int]) -> SiteDraw:
-    """Deterministic (J, xi) draw attached to one space-time site."""
-    i, t = site
-    if not 0 <= i < params.n:
-        raise IndexError(f"site index {i} out of range for n={params.n}")
-    j, xi = SiteField(seed, params).draw(i, t)
-    return SiteDraw(j=j, xi=xi)
-
-
 def _depth_bound(max_depth: int | None, lam: float) -> int:
+    """`max_depth`, checked, or `default_max_depth(lam)` when it is None."""
     if max_depth is None:
         return default_max_depth(lam)
     if max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
     return max_depth
-
-
-def backward_walk(seed: int, params: ModelParams, z: tuple[int, int],
-                  max_depth: int | None = None) -> BackwardWalk:
-    """Follow the neighbor labels backward from z until regeneration."""
-    max_depth = _depth_bound(max_depth, params.lam)
-    field = SiteField(seed, params)
-    (i, t), path = z, []
-    for _ in range(max_depth):
-        path.append((i, t))
-        j, xi = field.draw(i, t)
-        if j == 0:
-            return BackwardWalk(start=z, path=tuple(path), regen_time=t,
-                                regen_site=i, regen_value=xi)
-        i, t = j - 1, t - 1
-    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
-                             f"{z}; increase max_depth or check lam")
 
 
 def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,

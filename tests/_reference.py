@@ -2,16 +2,17 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops, deliberately sharing no code with the package beyond the keyed
-random draws, which fix what the draws are: the per-site draws of `SiteField`
-and `backward_walk`.
+scalar primitives of `densigraph.rng`, which fix what the draws are.  The
+site draws compare each site's uniform with lam and mu as floats, so they
+check the integer cuts that `SiteField` compares in their place.
 """
 
 import math
 
 import numpy as np
 
-from densigraph.perfect import SiteField, backward_walk
-from densigraph.rng import Stream, derive_key
+from densigraph.perfect import DepthExceededError, default_max_depth
+from densigraph.rng import Stream, absorb, derive_key, uniform01, word
 
 
 def transition_probability_loops(theta, size_plus, mu, lam, x, i):
@@ -35,27 +36,65 @@ def sample_environment_reference(params, seed):
     return (u < params.p).astype(np.uint8).reshape(n, n)
 
 
+def field_key(seed):
+    """Key of the site field that both samplers read under `seed`."""
+    return derive_key(seed, "site-field")
+
+
+def site_draw_reference(key, params, i, t):
+    """(j, xi) at site (i, t) of the field keyed `key`, from the site's one
+    uniform u: where u < lam the site regenerates, j = 0 and xi = [u < mu];
+    elsewhere j = 1 + floor((u - lam) n / (1 - lam)), at most n, is the
+    1-based label of the site it copies, and xi = 0."""
+    u = uniform01(word(absorb(key, i), t))
+    if u < params.lam:
+        return 0, int(u < params.mu)
+    return min(params.n, 1 + int((u - params.lam) * (params.n / (1.0 - params.lam)))), 0
+
+
+def backward_walk_reference(seed, params, z, max_depth=None):
+    """Follow the labels j backward from site z = (i, t) until a site
+    regenerates: returns the visited sites, z first and the regeneration site
+    last, and the value bit xi drawn there.  Raises `DepthExceededError` with
+    `perfect_sample`'s message when no site within `max_depth` draws does."""
+    if max_depth is None:
+        max_depth = default_max_depth(params.lam)
+    key = field_key(seed)
+    (i, t), path = z, []
+    for _ in range(max_depth):
+        path.append((i, t))
+        j, xi = site_draw_reference(key, params, i, t)
+        if j == 0:
+            return tuple(path), xi
+        i, t = j - 1, t - 1
+    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
+                             f"{z}; increase max_depth or check lam")
+
+
+def _step_reference(env, params, key, x, t):
+    """The column at time t from the column x at t - 1, one site at a time:
+    a site takes xi if it regenerates (j == 0), else the value of site j-1
+    through the edge theta[i, j-1], flipped if j-1 is inhibitory."""
+    nxt = []
+    for i in range(env.n):
+        j, xi = site_draw_reference(key, params, i, t)
+        if j == 0:
+            nxt.append(xi)
+        elif env.theta[i, j - 1]:
+            nxt.append(x[j - 1] ^ (j - 1 >= env.partition.size_plus))
+        else:
+            nxt.append(0)
+    return nxt
+
+
 def simulate_reference(env, params, x0, t_len, burnin, seed):
-    """The forward chain one site at a time from `SiteField.draw`: ``x0`` is
-    the state at field time -burnin; at each later time a site takes xi if it
-    regenerates (j == 0), else the value of site j-1 one time earlier through
-    the edge theta[i, j-1], flipped if j-1 is inhibitory.  Records times
-    1..t_len."""
-    n, sp = env.n, env.partition.size_plus
-    field = SiteField(seed, params)
+    """The forward chain: ``x0`` is the state at field time -burnin, and each
+    later column is one `_step_reference`.  Records times 1..t_len."""
+    key = field_key(seed)
     x = [int(v) for v in x0]
-    out = np.empty((n, t_len), dtype=np.uint8)
+    out = np.empty((env.n, t_len), dtype=np.uint8)
     for t in range(1 - burnin, t_len + 1):
-        nxt = []
-        for i in range(n):
-            j, xi = field.draw(i, t)
-            if j == 0:
-                nxt.append(xi)
-            elif env.theta[i, j - 1]:
-                nxt.append(x[j - 1] ^ (j - 1 >= sp))
-            else:
-                nxt.append(0)
-        x = nxt
+        x = _step_reference(env, params, key, x, t)
         if t >= 1:
             out[:, t - 1] = x
     return out
@@ -63,24 +102,20 @@ def simulate_reference(env, params, x0, t_len, burnin, seed):
 
 def perfect_sample_reference(env, params, t_len, seed):
     """The exact stationary window: column 1 folds the copy rule forward along
-    each site's `backward_walk`; each later column is one
-    `SiteField.draw_batch` plus the copy rule."""
+    each site's `backward_walk_reference`; each later column is one
+    `_step_reference`."""
     n, sp = env.n, env.partition.size_plus
+    key = field_key(seed)
     x = np.empty((n, t_len), dtype=np.uint8)
     for i in range(n):
-        walk = backward_walk(seed, params, (i, 1))
-        value = walk.regen_value
-        for (dst, _), (src, _) in zip(walk.path[-2::-1], walk.path[:0:-1]):
+        path, value = backward_walk_reference(seed, params, (i, 1))
+        for (dst, _), (src, _) in zip(path[-2::-1], path[:0:-1]):
             value = value ^ (src >= sp) if env.theta[dst, src] else 0
         x[i, 0] = value
-    field = SiteField(seed, params)
-    rows = np.arange(n)
-    inhibitory = rows >= sp
+    column = x[:, 0].tolist()
     for t in range(2, t_len + 1):
-        j, xi = field.draw_batch(field.key, rows, t)
-        src = np.maximum(j - 1, 0)  # regenerating sites take xi below
-        copied = env.theta[rows, src] & (x[src, t - 2] ^ inhibitory[src])
-        x[:, t - 1] = np.where(j == 0, xi, copied)
+        column = _step_reference(env, params, key, column, t)
+        x[:, t - 1] = column
     return x
 
 

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from densigraph import (ModelParams, binomial_mixture_shat,
-                        coalescence_probability_mc, exact_stationary,
-                        forward_map_values, inverse_map, kappa,
-                        limit_inversion, limits, perfect_sample,
-                        sample_environment, simulate, spatial_variance,
-                        spatio_temporal_mean, temporal_variance,
-                        transition_probabilities, tv_distance, w_delta,
-                        zero_state)
+                        coalescence_probability_mc, estimate_all,
+                        exact_stationary, forward_map_values, inverse_map,
+                        kappa, limit_inversion, limits, perfect_sample,
+                        sample_environment, simulate,
+                        transition_probabilities, tv_distance, zero_state)
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 from densigraph.forward import default_burnin
 from densigraph.inversion import KAPPA_DEGENERATE_TOL
@@ -253,13 +251,14 @@ def test_criterion_9_estimator_formula_exactness():
         traj = Trajectory((rng.random((n, t_len)) < rng.uniform(0.1, 0.9))
                           .astype(np.uint8))
         delta = int(rng.integers(1, t_len // 4 + 1))
+        est = estimate_all(traj, delta)
         worst = max(
             worst,
-            abs(spatio_temporal_mean(traj) - mean_reference(traj.x)),
-            abs(spatial_variance(traj) - spatial_variance_reference(traj.x)),
-            abs(w_delta(traj, delta) - block_variance_reference(traj.x, delta)),
-            abs(temporal_variance(traj, delta)
-                - temporal_variance_reference(traj.x, delta)),
+            abs(est.m_hat - mean_reference(traj.x)),
+            abs(est.v_hat - spatial_variance_reference(traj.x)),
+            abs(est.w_delta - block_variance_reference(traj.x, delta)),
+            abs(est.w_2delta - block_variance_reference(traj.x, 2 * delta)),
+            abs(est.w_hat - temporal_variance_reference(traj.x, delta)),
         )
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 1.0

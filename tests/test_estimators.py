@@ -4,8 +4,7 @@ from math import floor, log
 import numpy as np
 import pytest
 
-from densigraph import (Trajectory, estimate_all, spatial_variance,
-                        spatio_temporal_mean, temporal_variance, w_delta)
+from densigraph import Trajectory, estimate_all
 
 from _reference import (block_variance_reference, mean_reference,
                         spatial_variance_reference,
@@ -23,101 +22,99 @@ def random_trajectory(rng, max_n=20, max_t=50, min_t=8):
     return traj(rng.random((n, t)) < density)
 
 
+def assert_matches_references(t, delta):
+    """Every field of `estimate_all` against the loop references."""
+    e = estimate_all(t, delta)
+    assert e.delta == delta
+    assert e.m_hat == pytest.approx(mean_reference(t.x), abs=1e-12)
+    assert e.v_hat == pytest.approx(spatial_variance_reference(t.x), abs=1e-12)
+    assert e.w_delta == pytest.approx(
+        block_variance_reference(t.x, delta), abs=1e-12)
+    assert e.w_2delta == pytest.approx(
+        block_variance_reference(t.x, 2 * delta), abs=1e-12)
+    assert e.w_hat == pytest.approx(
+        temporal_variance_reference(t.x, delta), abs=1e-12)
+
+
+def est(rows, delta=1):
+    return estimate_all(traj(rows), delta)
+
+
+ALTERNATING = [[1, 0, 1, 0], [0, 1, 0, 1]]
+
+
 class TestSpatioTemporalMean:
     def test_saturated(self):
-        assert spatio_temporal_mean(traj(np.ones((3, 5)))) == 1.0
+        assert est(np.ones((3, 5))).m_hat == 1.0
 
     def test_hand_fixture(self):
-        assert spatio_temporal_mean(traj([[1, 0], [0, 1]])) == 0.5
+        assert est(ALTERNATING).m_hat == 0.5
 
     def test_all_zero(self):
-        assert spatio_temporal_mean(traj(np.zeros((2, 4)))) == 0.0
+        assert est(np.zeros((2, 4))).m_hat == 0.0
 
 
 class TestSpatialVariance:
     def test_all_zero(self):
-        assert spatial_variance(traj(np.zeros((3, 6)))) == 0.0
+        assert est(np.zeros((3, 6))).v_hat == 0.0
 
     def test_hand_fixture_can_be_negative(self):
-        assert spatial_variance(traj([[1, 0], [0, 1]])) == pytest.approx(-0.25)
+        # Z[i, T] = 2 for both sites: 10/64 * (4 - 4/5 * (2 + 4)) = -1/8
+        assert est(ALTERNATING).v_hat == pytest.approx(-0.125)
 
     def test_matches_reference_on_random_input(self):
         rng = np.random.default_rng(1)
         t = traj(rng.random((20, 50)) < 0.4)
-        assert spatial_variance(t) == pytest.approx(
+        assert estimate_all(t, 1).v_hat == pytest.approx(
             spatial_variance_reference(t.x), abs=1e-12)
 
 
 class TestBlockVariance:
     def test_saturated_trajectory_vanishes(self):
         t = traj(np.ones((4, 12)))
-        for delta in (1, 2, 3, 6):
-            assert w_delta(t, delta) == 0.0
-
-    def test_hand_fixture(self):
-        assert w_delta(traj([[1, 0], [0, 1]]), 1) == 0.0
+        for delta in (1, 2, 3):  # W_delta for delta 1, 2, 3 and 2, 4, 6
+            e = estimate_all(t, delta)
+            assert (e.w_delta, e.w_2delta) == (0.0, 0.0)
 
     def test_matches_reference_on_random_input(self):
         rng = np.random.default_rng(2)
         t = traj(rng.random((10, 40)) < 0.5)
-        assert w_delta(t, 3) == pytest.approx(
+        e = estimate_all(t, 3)
+        assert e.w_delta == pytest.approx(
             block_variance_reference(t.x, 3), abs=1e-12)
-
-    def test_delta_range_validation(self):
-        t = traj(np.zeros((2, 10)))
-        with pytest.raises(ValueError):
-            w_delta(t, 0)
-        with pytest.raises(ValueError):
-            w_delta(t, 6)  # floor(10/2) = 5 is the maximum
-        w_delta(t, 5)
+        assert e.w_2delta == pytest.approx(
+            block_variance_reference(t.x, 6), abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             t = random_trajectory(rng)
-            delta = int(rng.integers(1, t.t_len // 2 + 1))
-            assert w_delta(t, delta) >= 0.0
+            delta = int(rng.integers(1, t.t_len // 4 + 1))
+            e = estimate_all(t, delta)
+            assert e.w_delta >= 0.0 and e.w_2delta >= 0.0
 
 
 class TestTemporalVariance:
     def test_saturated(self):
-        assert temporal_variance(traj(np.ones((2, 8))), 1) == 0.0
+        assert est(np.ones((2, 8))).w_hat == 0.0
 
     def test_alternating_fixture(self):
-        t = traj([[1, 0, 1, 0], [0, 1, 0, 1]])
-        assert w_delta(t, 1) == 0.0
-        assert w_delta(t, 2) == 0.0
-        assert temporal_variance(t, 1) == 0.0
+        e = est(ALTERNATING)
+        assert (e.w_delta, e.w_2delta, e.w_hat) == (0.0, 0.0, 0.0)
 
     def test_definitional_composition(self):
         rng = np.random.default_rng(4)
         t = traj(rng.random((6, 36)) < 0.6)
         for delta in (1, 2, 4):
-            expected = 2.0 * w_delta(t, 2 * delta) - w_delta(t, delta)
-            assert temporal_variance(t, delta) == expected
-
-    def test_rejects_delta_too_large(self):
-        t = traj(np.zeros((2, 10)))
-        with pytest.raises(ValueError):
-            temporal_variance(t, 3)  # needs 2*delta <= floor(T/2)
-        temporal_variance(t, 2)
+            e = estimate_all(t, delta)
+            assert e.w_hat == 2.0 * e.w_2delta - e.w_delta
+            assert e.w_2delta == estimate_all(t, 2 * delta).w_delta
 
 
 class TestEstimateAll:
     def test_saturated(self):
-        est = estimate_all(traj(np.ones((3, 8))), 1)
-        assert (est.m_hat, est.v_hat, est.w_hat) == (1.0, 0.0, 0.0)
-
-    def test_composition_consistency(self):
-        rng = np.random.default_rng(5)
-        t = traj(rng.random((7, 29)) < 0.35)
-        est = estimate_all(t, 2)
-        assert est.m_hat == spatio_temporal_mean(t)
-        assert est.v_hat == spatial_variance(t)
-        assert est.w_delta == w_delta(t, 2)
-        assert est.w_2delta == w_delta(t, 4)
-        assert est.w_hat == temporal_variance(t, 2)
-        assert est.delta == 2
+        e = est(np.ones((3, 8)))
+        assert (e.m_hat, e.v_hat, e.w_hat) == (1.0, 0.0, 0.0)
 
     def test_too_short_trajectory_errors(self):
         with pytest.raises(ValueError):
@@ -125,11 +122,12 @@ class TestEstimateAll:
 
     def test_rejects_either_delta_bound_before_any_work(self):
         t = traj(np.zeros((2, 10)))
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ValueError, match=r"delta must lie in \[1, 5\], got 0"):
             estimate_all(t, 0)
-        with pytest.raises(ValueError, match="must lie in"):
-            estimate_all(t, 6)
-        with pytest.raises(ValueError, match="too large"):
+        with pytest.raises(ValueError, match=r"delta must lie in \[1, 5\], got 6"):
+            estimate_all(t, 6)  # floor(10/2) = 5 is the largest W_delta
+        with pytest.raises(ValueError,
+                           match=r"delta=3 too large: need 2\*delta <= 5 for T=10"):
             estimate_all(t, 3)  # W_3 exists, W_6 does not
         estimate_all(t, 2)
 
@@ -137,28 +135,19 @@ class TestEstimateAll:
     @pytest.mark.parametrize("n, t_len, delta", [
         (7, 29, 2), (1, 40, 3), (1, 9, 1), (13, 101, "log"), (30, 250, 4),
         (5, 2001, "log"), (500, 257, 1)])
-    def test_bit_identical_to_per_statistic_functions(self, n, t_len, delta):
+    def test_matches_references_on_edge_shapes(self, n, t_len, delta):
         if delta == "log":
             delta = max(1, floor(log(t_len)))
         rng = np.random.default_rng(n * t_len)
         t = traj(rng.random((n, t_len)) < rng.uniform(0.1, 0.9))
-        est = estimate_all(t, delta)
-        assert est.m_hat == spatio_temporal_mean(t)
-        assert est.v_hat == spatial_variance(t)
-        assert est.w_delta == w_delta(t, delta)
-        assert est.w_2delta == w_delta(t, 2 * delta)
-        assert est.w_hat == temporal_variance(t, delta)
+        assert_matches_references(t, delta)
 
     @pytest.mark.parametrize("shape", [(2**16 + 8, 8), (1, 2**16 + 8)])
     def test_sums_past_the_uint16_range_stay_exact(self, shape):
         # The per-time (first shape) or per-site (second) sums exceed 2^16 - 1.
         x = np.ones(shape, dtype=np.uint8)
         x.flat[:3] = 0
-        t = traj(x)
-        est = estimate_all(t, 2)
-        assert est.m_hat == spatio_temporal_mean(t)
-        assert est.v_hat == spatial_variance(t)
-        assert est.w_hat == temporal_variance(t, 2)
+        assert_matches_references(traj(x), 2)
 
     def test_memory_peak_at_paper_scale(self):
         # A widened (int64) copy of the 500 x 2000 trajectory would take 8 MB.
@@ -180,25 +169,17 @@ class TestProperties:
         for _ in range(25):
             t = random_trajectory(rng)
             delta = int(rng.integers(1, max(2, t.t_len // 4 + 1)))
-            assert 0.0 <= spatio_temporal_mean(t) <= 1.0
+            e = estimate_all(t, delta)
+            assert 0.0 <= e.m_hat <= 1.0
             perm = rng.permutation(t.n)
-            shuffled = Trajectory(t.x[perm])
-            assert spatio_temporal_mean(shuffled) == spatio_temporal_mean(t)
-            assert spatial_variance(shuffled) == pytest.approx(
-                spatial_variance(t), abs=1e-12)
-            assert w_delta(shuffled, delta) == pytest.approx(
-                w_delta(t, delta), abs=1e-12)
+            shuffled = estimate_all(Trajectory(t.x[perm]), delta)
+            assert shuffled.m_hat == e.m_hat
+            assert shuffled.v_hat == pytest.approx(e.v_hat, abs=1e-12)
+            assert shuffled.w_delta == pytest.approx(e.w_delta, abs=1e-12)
+            assert shuffled.w_hat == pytest.approx(e.w_hat, abs=1e-12)
 
     def test_reference_agreement_sweep(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
             t = random_trajectory(rng)
-            assert spatio_temporal_mean(t) == pytest.approx(
-                mean_reference(t.x), abs=1e-12)
-            assert spatial_variance(t) == pytest.approx(
-                spatial_variance_reference(t.x), abs=1e-12)
-            delta = int(rng.integers(1, t.t_len // 4 + 1))
-            assert w_delta(t, delta) == pytest.approx(
-                block_variance_reference(t.x, delta), abs=1e-12)
-            assert temporal_variance(t, delta) == pytest.approx(
-                temporal_variance_reference(t.x, delta), abs=1e-12)
+            assert_matches_references(t, int(rng.integers(1, t.t_len // 4 + 1)))

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from densigraph import (ModelParams, backward_walk, build_partition,
-                        default_burnin, perfect_sample, sample_environment,
-                        simulate, transition_probabilities, zero_state)
+from densigraph import (ModelParams, build_partition, default_burnin,
+                        perfect_sample, sample_environment, simulate,
+                        transition_probabilities, zero_state)
 from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment, InputError
 from densigraph.oracles import column_indices
 
-from _reference import binomial_sigma, simulate_reference
+from _reference import backward_walk_reference, binomial_sigma, simulate_reference
 
 
 def fixture_env_params():
@@ -199,7 +199,7 @@ def test_minimal_exact_start():
             params = ModelParams(mu=0.5 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
             env = sample_environment(params, seed=n)
             for seed in range(10):
-                depth = max(len(backward_walk(seed, params, (i, 1)).path)
+                depth = max(len(backward_walk_reference(seed, params, (i, 1))[0])
                             for i in range(n))
                 exact = perfect_sample(env, params, t_len, seed=seed).x
                 for start in (0, 1):
@@ -228,6 +228,6 @@ def test_short_burnin_misses_only_walks_that_outlive_it():
             cells = np.argwhere(forward != exact)
             differ += len(cells)
             for i, t in cells:
-                walk = backward_walk(seed, params, (int(i), int(t) + 1))
-                assert walk.regen_time < 1 - burnin
+                path, _ = backward_walk_reference(seed, params, (int(i), int(t) + 1))
+                assert path[-1][1] < 1 - burnin
     assert differ > 0

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from densigraph import (Environment, InputError, ModelParams, Partition,
                         Trajectory, build_partition, load_environment,
                         load_trajectory, sample_environment, save_environment,
-                        save_trajectory, transition_probabilities,
-                        transition_probability)
+                        save_trajectory, transition_probabilities)
 from densigraph import forward, model, perfect
 from densigraph.forward import simulate, zero_state
 from densigraph.perfect import perfect_sample
@@ -206,14 +205,13 @@ class TestTransitionProbability:
         env = make_env(np.ones((4, 4)), r_plus=0.9)
         assert env.partition.size_minus == 0
         x = np.zeros(4, dtype=np.uint8)
-        for i in range(4):
-            assert transition_probability(env, params, x, i) == pytest.approx(0.2)
+        assert transition_probabilities(env, params, x) == pytest.approx([0.2] * 4)
 
     def test_hand_evaluated_fixture(self):
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=2 / 3, n=3)
         env = make_env([[0, 1, 1], [0, 0, 0], [0, 0, 0]], r_plus=2 / 3)
         assert env.partition.size_plus == 2
-        value = transition_probability(env, params, [0, 1, 0], 0)
+        value = transition_probabilities(env, params, [0, 1, 0])[0]
         assert value == pytest.approx(0.2 + 0.4 * (2 / 3), abs=1e-15)
 
     def test_all_ones_full_graph_no_inhibition(self):
@@ -221,8 +219,7 @@ class TestTransitionProbability:
         env = make_env(np.ones((5, 5)), r_plus=0.9)
         x = np.ones(5, dtype=np.uint8)
         expected = 0.1 + 0.3 * env.partition.size_plus / 5
-        for i in range(5):
-            assert transition_probability(env, params, x, i) == pytest.approx(expected)
+        assert transition_probabilities(env, params, x) == pytest.approx([expected] * 5)
 
     def test_bounds_always_hold(self):
         rng = np.random.default_rng(3)
@@ -233,9 +230,9 @@ class TestTransitionProbability:
                                  p=0.5, r_plus=float(rng.uniform(0.1, 0.9)), n=n)
             env = make_env(rng.integers(0, 2, size=(n, n)), r_plus=params.r_plus)
             x = rng.integers(0, 2, size=n)
-            i = int(rng.integers(0, n))
-            value = transition_probability(env, params, x, i)
-            assert params.mu - 1e-15 <= value <= params.mu + (1 - params.lam) + 1e-15
+            value = transition_probabilities(env, params, x)
+            assert (params.mu - 1e-15 <= value).all()
+            assert (value <= params.mu + (1 - params.lam) + 1e-15).all()
 
     def test_matches_double_loop_reference(self):
         rng = np.random.default_rng(7)
@@ -251,18 +248,15 @@ class TestTransitionProbability:
             for i in range(n):
                 ref = transition_probability_loops(
                     env.theta, env.partition.size_plus, params.mu, params.lam, x, i)
-                assert abs(transition_probability(env, params, x, i) - ref) <= 1e-15
                 assert abs(vector[i] - ref) <= 1e-15
 
-    def test_index_and_shape_errors(self):
+    def test_shape_errors(self):
         params = ModelParams(mu=0.1, lam=0.5, p=0.5, r_plus=0.5, n=3)
         env = make_env(np.zeros((3, 3)))
-        with pytest.raises(IndexError):
-            transition_probability(env, params, [0, 0, 0], 3)
-        with pytest.raises(IndexError):
-            transition_probability(env, params, [0, 0, 0], -1)
-        with pytest.raises(ValueError):
-            transition_probability(env, params, [0, 0], 0)
+        for x in ([0, 0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError,
+                               match=rf"x must have length 3, got shape \({len(x)},\)"):
+                transition_probabilities(env, params, x)
 
 
 class TestTrajectory:

@@ -129,6 +129,13 @@ class TestCoalescence:
         with pytest.raises(InputError, match="must lie in 0..3"):
             coalescence_probability_mc(params, z1, z2, trials=10, seed=0)
 
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_rejects_bad_max_depth(self, max_depth):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(InputError, match=f"max_depth must be >= 1, got {max_depth}"):
+            coalescence_probability_mc(params, (0, 0), (1, -1), trials=10, seed=0,
+                                       max_depth=max_depth)
+
     def test_deterministic(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)
         a = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)
@@ -156,6 +163,21 @@ class TestCovariance:
         c5, se5 = covariance_mc(env, params, (0, 0), (0, 5), samples=4000, seed=8)
         assert abs(c5) <= abs(c1) + 3 * (se1 + se5)
         assert abs(c5) <= 0.03
+
+    @pytest.mark.parametrize("z1, z2", [((-1, 0), (0, 0)), ((0, 0), (3, 0)),
+                                        ((0, 0), (-3, 1))],
+                             ids=["first-negative", "second-past-n",
+                                  "second-negative"])
+    def test_rejects_sites_outside_range(self, z1, z2):
+        env, params = small_env()
+        with pytest.raises(InputError, match="must lie in 0..2"):
+            covariance_mc(env, params, z1, z2, samples=10, seed=0)
+
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_rejects_fewer_than_two_samples(self, samples):
+        env, params = small_env()
+        with pytest.raises(InputError, match=f"samples must be >= 2, got {samples}"):
+            covariance_mc(env, params, (0, 0), (1, 0), samples=samples, seed=0)
 
 
 class TestBinomialMixtureShat:

@@ -7,15 +7,15 @@ import pytest
 from scipy import stats
 
 from densigraph import (DepthExceededError, ModelParams, SiteField,
-                        backward_walk, default_max_depth,
-                        exact_stationary, perfect_sample, site_draw,
+                        default_max_depth, exact_stationary, perfect_sample,
                         transition_probabilities, tv_distance)
 from densigraph.model import InputError, sample_environment
 from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.perfect import _derive
 from densigraph.rng import DRAW_BUDGET, absorb_array
 
-from _reference import binomial_sigma, perfect_sample_reference
+from _reference import (backward_walk_reference, binomial_sigma, field_key,
+                        perfect_sample_reference, site_draw_reference)
 
 
 def small_params(n=3, lam=0.5, mu=0.25, r_plus=2 / 3, p=0.5):
@@ -26,9 +26,9 @@ class TestSiteDraw:
     def test_deterministic(self):
         params = small_params(n=7)
         sites = [(i, t) for i in range(7) for t in range(-3, 3)]
-        first = [site_draw(3, params, z) for z in sites]
-        second = [site_draw(3, params, z) for z in sites]
-        other_seed = [site_draw(4, params, z) for z in sites]
+        first = [site_draw_reference(field_key(3), params, *z) for z in sites]
+        second = [site_draw_reference(field_key(3), params, *z) for z in sites]
+        other_seed = [site_draw_reference(field_key(4), params, *z) for z in sites]
         assert first == second
         assert first != other_seed
 
@@ -36,16 +36,16 @@ class TestSiteDraw:
         params = ModelParams(mu=0.4, lam=1.0, p=0.5, r_plus=0.5, n=9)
         for t in range(-5, 5):
             for i in range(9):
-                assert site_draw(0, params, (i, t)).j == 0
+                assert site_draw_reference(field_key(0), params, i, t)[0] == 0
 
     def test_marginal_frequencies(self):
         params = ModelParams(mu=0.15, lam=0.5, p=0.5, r_plus=0.5, n=10)
-        field = SiteField(101, params)
+        key = field_key(101)
         draws = 100_000
         js = np.empty(draws, dtype=np.int64)
         xis = np.empty(draws, dtype=np.int64)
         for t in range(draws):
-            js[t], xis[t] = field.draw(t % 10, t // 10)
+            js[t], xis[t] = site_draw_reference(key, params, t % 10, t // 10)
         assert abs((js == 0).mean() - 0.5) <= 3 * binomial_sigma(0.5, draws)
         for k in range(1, 11):
             assert abs((js == k).mean() - 0.05) <= 3 * binomial_sigma(0.05, draws)
@@ -58,23 +58,23 @@ class TestSiteDraw:
     def test_batch_matches_scalar(self):
         params = ModelParams(mu=0.1, lam=0.4, p=0.5, r_plus=0.5, n=6)
         field = SiteField(0, params)
+        assert field.key == field_key(0)
         keys = np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         sites = np.arange(50, dtype=np.int64) % 6
         times = np.arange(50, dtype=np.int64) - 25
         js, xis = field.draw_batch(keys, sites, times)
         for k in range(50):
-            scalar_field = SiteField(0, params)
-            scalar_field.key = int(keys[k])
-            assert scalar_field.draw(int(sites[k]), int(times[k])) == (js[k], xis[k])
+            assert (site_draw_reference(int(keys[k]), params, int(sites[k]),
+                                        int(times[k])) == (js[k], xis[k]))
         # One shared key broadcasts over a column of sites at a scalar time.
         js, xis = field.draw_batch(field.key, sites[:6], -4)
         for i in range(6):
-            assert field.draw(i, -4) == (js[i], xis[i])
+            assert site_draw_reference(field.key, params, i, -4) == (js[i], xis[i])
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.5, 1e-300),
                                          (1e-300, 1e-300), (0.7, 0.5)])
     def test_integer_cuts_match_float_comparison(self, lam, mu):
-        # k 2^-53 is the uniform `draw` compares with lam and mu.
+        # k 2^-53 is the uniform the float rule compares with lam and mu.
         field = SiteField(0, ModelParams(mu=mu, lam=lam, p=0.5, r_plus=0.5, n=4))
         for x, cut in ((lam, field.lam_cut), (mu, field.mu_cut)):
             k = np.array([c for c in (cut - 1, cut, cut + 1) if 0 <= c < 2**53],
@@ -85,31 +85,24 @@ class TestSiteDraw:
             assert np.array_equal(copy, u >= lam)
             assert np.array_equal(xi, u < mu)
 
-    def test_site_index_bounds(self):
-        params = small_params()
-        with pytest.raises(IndexError):
-            site_draw(0, params, (3, 0))
-
 
 class TestBackwardWalk:
     def test_immediate_regeneration_lam_one(self):
         params = ModelParams(mu=0.4, lam=1.0, p=0.5, r_plus=0.5, n=4)
-        walk = backward_walk(0, params, (2, 11))
-        assert walk.regen_time == 11
-        assert walk.regen_site == 2
-        assert walk.path == ((2, 11),)
+        path, _ = backward_walk_reference(0, params, (2, 11))
+        assert path == ((2, 11),)
 
     def test_deterministic(self):
         params = small_params(n=8)
-        w1 = backward_walk(9, params, (1, 0))
-        w2 = backward_walk(9, params, (1, 0))
+        w1 = backward_walk_reference(9, params, (1, 0))
+        w2 = backward_walk_reference(9, params, (1, 0))
         assert w1 == w2
 
     def test_geometric_depth_distribution(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=10)
         walks = 20_000
         depths = np.array([
-            0 - backward_walk(seed, params, (0, 0)).regen_time
+            0 - backward_walk_reference(seed, params, (0, 0))[0][-1][1]
             for seed in range(walks)  # fresh field per walk: independent draws
         ])
         # survival steps before regeneration are geometric(lam): mean (1-lam)/lam
@@ -118,20 +111,18 @@ class TestBackwardWalk:
 
     def test_path_consistency_with_site_draws(self):
         params = small_params(n=6, lam=0.3, r_plus=0.5)
-        walk = backward_walk(2, params, (4, 3))
-        assert walk.path[0] == (4, 3)
-        for (i, t), (i_next, t_next) in zip(walk.path, walk.path[1:]):
-            d = site_draw(2, params, (i, t))
-            assert d.j == i_next + 1 and t_next == t - 1
-        last = walk.path[-1]
-        assert site_draw(2, params, last).j == 0
-        assert (last[0], last[1]) == (walk.regen_site, walk.regen_time)
-        assert len(walk.path) == 3 - walk.regen_time + 1
+        path, xi = backward_walk_reference(2, params, (4, 3))
+        assert path[0] == (4, 3)
+        for (i, t), (i_next, t_next) in zip(path, path[1:]):
+            j, _ = site_draw_reference(field_key(2), params, i, t)
+            assert j == i_next + 1 and t_next == t - 1
+        assert site_draw_reference(field_key(2), params, *path[-1]) == (0, xi)
+        assert len(path) == 3 - path[-1][1] + 1
 
     def test_depth_exceeded(self):
         params = ModelParams(mu=0.0, lam=0.001, p=0.5, r_plus=0.5, n=50)
         with pytest.raises(DepthExceededError):
-            backward_walk(1, params, (0, 0), max_depth=1)
+            backward_walk_reference(1, params, (0, 0), max_depth=1)
 
     def test_default_max_depth(self):
         assert default_max_depth(0.5) == 40
@@ -149,7 +140,8 @@ class TestPerfectSample:
         traj = perfect_sample(env, params, 200, seed=31)
         for i in range(4):
             for t in (1, 57, 200):
-                assert traj.x[i, t - 1] == site_draw(31, params, (i, t)).xi
+                assert traj.x[i, t - 1] == site_draw_reference(
+                    field_key(31), params, i, t)[1]
         beta = params.beta
         sigma = binomial_sigma(beta, traj.x.size)
         assert abs(traj.x.mean() - beta) <= 3 * sigma
@@ -162,7 +154,8 @@ class TestPerfectSample:
         traj = perfect_sample(env, params, 400, seed=8)
         for i in range(5):
             for t in (1, 100, 400):
-                expect = 1 if site_draw(8, params, (i, t)).j == 0 else 0
+                j, _ = site_draw_reference(field_key(8), params, i, t)
+                expect = 1 if j == 0 else 0
                 assert traj.x[i, t - 1] == expect
         sigma = binomial_sigma(params.lam, traj.x.size)
         assert abs(traj.x.mean() - params.lam) <= 3 * sigma
@@ -181,9 +174,8 @@ class TestPerfectSample:
         expect = np.empty((n, t_len), dtype=np.uint8)
         for i in range(n):
             for t in range(1, t_len + 1):
-                walk = backward_walk(seed, params, (i, t))
-                value = walk.regen_value
-                for (dst, _), (src, _) in zip(walk.path[-2::-1], walk.path[:0:-1]):
+                path, value = backward_walk_reference(seed, params, (i, t))
+                for (dst, _), (src, _) in zip(path[-2::-1], path[:0:-1]):
                     if not env.theta[dst, src]:
                         value = 0
                     elif src >= sp:
@@ -207,11 +199,11 @@ class TestPerfectSample:
         sp = env.partition.size_plus
         for i in range(4):
             for t in range(2, t_len + 1):  # parents of column 1 live off-window
-                d = site_draw(12, params, (i, t))
-                if d.j == 0:
-                    assert traj.x[i, t - 1] == d.xi
+                j, xi = site_draw_reference(field_key(12), params, i, t)
+                if j == 0:
+                    assert traj.x[i, t - 1] == xi
                 else:
-                    src = d.j - 1
+                    src = j - 1
                     parent = int(traj.x[src, t - 2])
                     if env.theta[i, src]:
                         expect = parent if src < sp else 1 - parent
@@ -285,8 +277,9 @@ class TestPerfectSample:
         params = small_params(lam=0.9)
         env = sample_environment(params, seed=1)
         seed = next(s for s in range(1000)
-                    if all(site_draw(s, params, (i, 1)).j == 0 for i in range(3)))
-        assert any(site_draw(seed, params, (i, t)).j
+                    if all(site_draw_reference(field_key(s), params, i, 1)[0] == 0
+                           for i in range(3)))
+        assert any(site_draw_reference(field_key(seed), params, i, t)[0]
                    for i in range(3) for t in range(2, 40))
         traj = perfect_sample(env, params, 40, seed=seed, max_depth=1)
         assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
@@ -299,8 +292,8 @@ def first_chunk(n, lam):
 
 
 def column1_depth(seed, params):
-    """D, the draws of the deepest column-1 walk, from `backward_walk`."""
-    return max(len(backward_walk(seed, params, (i, 1)).path)
+    """D, the draws of the deepest column-1 walk, from the walk reference."""
+    return max(len(backward_walk_reference(seed, params, (i, 1))[0])
                for i in range(params.n))
 
 
@@ -323,7 +316,7 @@ class TestDepthBoundary:
         assert np.array_equal(traj.x, perfect_sample(env, params, t_len, seed=seed).x)
         with pytest.raises(DepthExceededError) as walk_error:
             for i in range(n):
-                backward_walk(seed, params, (i, 1), max_depth=depth - 1)
+                backward_walk_reference(seed, params, (i, 1), max_depth=depth - 1)
         with pytest.raises(DepthExceededError) as error:
             perfect_sample(env, params, t_len, seed=seed, max_depth=depth - 1)
         assert error.value.args == walk_error.value.args
