@@ -65,6 +65,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.sampler == "perfect" and args.burnin != -1:
+        raise InputError("--burnin applies only to --sampler forward")
+    if args.sampler == "forward" and args.max_depth is not None:
+        raise InputError("--max-depth applies only to --sampler perfect")
     if args.load_env:
         env = load_environment(args.load_env)
         params = _params_from(args, n=env.n)
@@ -164,9 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--sampler", choices=("forward", "perfect"),
                           default="forward")
     p_sample.add_argument("--burnin", type=int, default=-1,
-                          help="forward burn-in steps (-1 = automatic)")
+                          help="forward burn-in steps (-1 = automatic); "
+                               "forward sampler only")
     p_sample.add_argument("--max-depth", type=int, default=None,
-                          help="regeneration depth bound for the exact sampler")
+                          help="regeneration depth bound; perfect sampler only")
     p_sample.add_argument("--dump-traj", default=None)
     p_sample.add_argument("--dump-env", default=None)
     p_sample.add_argument("--load-env", default=None)

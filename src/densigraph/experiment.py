@@ -1,9 +1,9 @@
 """Batch experiment runner: parameter sweeps, replicated simulations,
 moment estimation, inversion, and error summaries.
 
-A run draws, per replica, one fresh environment and one trajectory of length
-max(t_grid), evaluates the estimators on every prefix length in t_grid, runs
-the inversion, and (optionally) computes the environment's exact limits once.
+A run draws, per replica, one fresh environment, (optionally) computes its
+exact limits once, then draws one trajectory of length max(t_grid), evaluates
+the estimators on every prefix length in t_grid and runs the inversion.
 Rows are gathered in (varied value as listed, T, replica) order, with no sort,
 and the whole run is a pure function of the config, so output files are
 byte-reproducible.  The block length ``delta`` is one setting: an int >= 1, or
@@ -100,6 +100,8 @@ class ExperimentConfig:
             if self.vary_name == "n" and not all(
                     float(v).is_integer() for v in self.vary_values):
                 raise ConfigError("vary = n needs integer vary_values")
+        elif self.vary_values:
+            raise ConfigError("vary_values is set but vary is empty")
         try:
             for value in (self.vary_values if self.vary_name else (None,)):
                 self.params_for(value)
@@ -213,6 +215,13 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
     params = config.params_for(value)
     rs = derive_key(config.master_seed, "experiment", value_idx, replica)
     env = sample_environment(params, derive_key(rs, "env"))
+    # The limits come before the sampler, so their n x n float64 kernel is
+    # freed before the n x T trajectory exists; they read no randomness.
+    lim = inv_inf = None
+    if config.compute_limits:
+        lim = limits(env, params)
+        inv_inf = limit_inversion(lim, params.r_plus)
+
     t_max = max(config.t_grid)
     if config.sampler == "forward":
         traj = simulate(env, params, zero_state(params.n), t_max,
@@ -220,11 +229,6 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
                         seed=derive_key(rs, "trajectory"))
     else:
         traj = perfect_sample(env, params, t_max, seed=derive_key(rs, "trajectory"))
-
-    lim = inv_inf = None
-    if config.compute_limits:
-        lim = limits(env, params)
-        inv_inf = limit_inversion(lim, params.r_plus)
 
     rows = []
     for t_len in config.t_grid:

@@ -233,10 +233,6 @@ class Trajectory:
     def t_len(self) -> int:
         return self.x.shape[1]
 
-    def counts(self) -> np.ndarray:
-        """Cumulative per-site signal counts Z, int64, shape (n, t_len)."""
-        return np.cumsum(self.x, axis=1, dtype=np.int64)
-
     def prefix(self, t_len: int) -> "Trajectory":
         """View of the first t_len observation times: the first t_len rows of
         the checked time-major storage, neither copied nor scanned again."""

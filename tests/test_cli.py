@@ -165,6 +165,13 @@ class TestSample:
         (["--load-env", "missing-env.txt"], "missing-env.txt"),
         (["--lambda", "1e-17"], "lam=1e-17 is too small"),
         (["--sampler", "perfect", "--lambda", "1e-17"], "lam=1e-17 is too small"),
+        (["--sampler", "perfect", "--burnin", "50"],
+         "--burnin applies only to --sampler forward"),
+        (["--sampler", "perfect", "--burnin", "0"],
+         "--burnin applies only to --sampler forward"),
+        (["--max-depth", "1"], "--max-depth applies only to --sampler perfect"),
+        (["--sampler", "forward", "--max-depth", "50"],
+         "--max-depth applies only to --sampler perfect"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, monkeypatch, capsys, args,
                                   message):
@@ -175,6 +182,15 @@ class TestSample:
         assert captured.out == ""
         assert captured.err.startswith("sample error: ")
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", [["--burnin", "5"], ["--max-depth", "9"]])
+    def test_a_flag_of_the_other_sampler_writes_no_file(self, tmp_path, flag):
+        sampler = "perfect" if flag[0] == "--burnin" else "forward"
+        code = run_cli(["sample", "--n", "6", "--t-len", "3", "--sampler", sampler,
+                        *flag, "--dump-env", str(tmp_path / "env.txt"),
+                        "--dump-traj", str(tmp_path / "traj.csv")])
+        assert code == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestEstimateInvertLimits:

@@ -1,5 +1,6 @@
 import os
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -73,6 +74,8 @@ class TestConfigParsing:
         ("", ("n=8", "p"), "override 'p': expected key=value"),
         ("", ("",), "override '': expected key=value"),
         ("", ("bogus = 1",), "unknown override key 'bogus'"),
+        ("", ("vary_values=0.2,0.5",), "vary_values is set but vary is empty"),
+        ("vary = \nvary_values = 0.2\n", (), "vary_values is set but vary is empty"),
     ])
     def test_error_texts(self, text, overrides, message):
         with pytest.raises(ConfigError) as info:
@@ -209,6 +212,40 @@ class TestRunExperiment:
             "n = 4\nt_grid = 30\nn_simu = 2\nlimits = false\nsampler = perfect\n")
         rows = run_experiment(config)
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("sampler", ["forward", "perfect"])
+    def test_limits_leave_the_sampled_columns_alone(self, sampler):
+        # The limits solve runs before the sampler and must read no draw of it.
+        overrides = ["n=50", "t_grid=100,400", "n_simu=2", "vary=lambda",
+                     "vary_values=0.2,0.5", f"sampler={sampler}", "seed=3"]
+
+        def fields(limits):
+            rows = run_experiment(default_config([*overrides, f"limits={limits}"]))
+            return [line.split(",") for line in rows_to_csv(rows).splitlines()[1:]]
+
+        with_limits, without = fields("true"), fields("false")
+        assert len(with_limits) == len(without) == 8
+        header = CSV_HEADER.split(",")
+        sampled = slice(header.index("m_hat"), header.index("p_hat") + 1)
+        for on, off in zip(with_limits, without):
+            assert on[:4] == off[:4]   # vary, value, T, replica
+            assert on[sampled] == off[sampled] and all(on[sampled])
+            assert all(on[-6:]) and off[-6:] == [""] * 6
+
+    @pytest.mark.parametrize("sampler", ["forward", "perfect"])
+    def test_replica_never_holds_kernel_and_trajectory(self, sampler):
+        # The limits' float64 kernel (8 n^2 bytes) is freed before the n x T
+        # trajectory exists, so one replica stays below 8 n^2 + n T.
+        n, t_max = 500, 2000
+        config = default_config([f"n={n}", "t_grid=250,500,1000,2000", "n_simu=1",
+                                 "limits=true", f"sampler={sampler}"])
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n + n * t_max
 
 
 def assert_no_child_left():

@@ -260,10 +260,6 @@ class TestTransitionProbability:
 
 
 class TestTrajectory:
-    def test_counts_cumulative(self):
-        traj = Trajectory(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
-        assert traj.counts().tolist() == [[1, 1, 2], [0, 1, 2]]
-
     def test_prefix_view(self):
         traj = Trajectory(np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
         assert traj.prefix(2).x.tolist() == [[1, 0], [0, 1]]

@@ -38,6 +38,11 @@ def test_removed_name_is_absent(name):
         assert not hasattr(owner, name)
 
 
+def test_trajectory_has_no_counts_matrix():
+    # an int64 (n, T) cumsum: 8 n T bytes, which the estimators never need
+    assert not hasattr(model.Trajectory, "counts")
+
+
 def test_site_field_has_no_scalar_draw():
     assert not hasattr(perfect.SiteField, "draw")
     assert "mu" not in perfect.SiteField.__slots__
