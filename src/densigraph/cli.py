@@ -29,20 +29,34 @@ from .perfect import DepthExceededError, perfect_sample
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--n", type=int, default=500)
+    # `_params_from` resolves the defaults of --n, --p and --r-plus.
+    parser.add_argument("--n", type=int, help="number of chains (default 500)")
     parser.add_argument("--beta", type=float, default=0.5,
                         help="spontaneous firing probability mu/lambda")
     parser.add_argument("--mu", type=float, default=None,
                         help="baseline probability (overrides --beta)")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    parser.add_argument("--p", type=float, default=0.5)
-    parser.add_argument("--r-plus", type=float, default=0.5)
+    parser.add_argument("--p", type=float, help="edge probability (default 0.5)")
+    parser.add_argument("--r-plus", type=float,
+                        help="excitatory fraction (default 0.5)")
 
 
-def _params_from(args, n=None) -> ModelParams:
+def _params_from(args, env=None) -> ModelParams:
+    """The flags' parameters.  --n, --p and --r-plus default to 500, 0.5 and
+    0.5; a loaded `env` fixes n, theta and the partition, so with one they
+    are an input error, and p and r_plus are placeholders no sampler reads."""
+    n, p, r_plus = args.n, args.p, args.r_plus
+    if env is not None:
+        given = [flag for flag, value in (("--n", n), ("--p", p), ("--r-plus", r_plus))
+                 if value is not None]
+        if given:
+            raise InputError(f"{', '.join(given)} cannot be used with --load-env, "
+                             f"whose environment fixes n, theta and the partition")
+        n = env.n
     mu = args.mu if args.mu is not None else args.beta * args.lam
-    return ModelParams(mu=mu, lam=args.lam, p=args.p, r_plus=args.r_plus,
-                       n=n if n is not None else args.n)
+    return ModelParams(mu=mu, lam=args.lam, p=0.5 if p is None else p,
+                       r_plus=0.5 if r_plus is None else r_plus,
+                       n=500 if n is None else n)
 
 
 def _cmd_run(args) -> int:
@@ -71,7 +85,7 @@ def _cmd_sample(args) -> int:
         raise InputError("--max-depth applies only to --sampler perfect")
     if args.load_env:
         env = load_environment(args.load_env)
-        params = _params_from(args, n=env.n)
+        params = _params_from(args, env)
     else:
         params = _params_from(args)
         env = sample_environment(params, args.seed)

@@ -1,7 +1,8 @@
 """The moment map and its explicit inverses.
 
-For admissible parameters (mu, lam, p) and a known excitatory fraction
-r_plus, the trajectory statistics converge to a triple (m, v, w):
+For parameters (mu, lam, p) and a known excitatory fraction r_plus, the
+trajectory statistics converge to a triple (m, v, w), which
+`forward_map_values` evaluates:
 
     D = 1 - (1-lam) p (r_plus - r_minus)
     m = (mu + (1-lam) p r_minus) / D
@@ -22,8 +23,11 @@ Numerical guards (thresholds below): near-degenerate kappa collapses the
 quadratic to its double root; a nearly symmetric partition switches phi1 to
 the closed form w/(m(1-m)) - 1; negative phi1 intermediates are replaced by
 their absolute value; a phi1 that vanishes within `PHI1_ZERO_TOL` makes the
-triple non-invertible; final coordinates are clipped back into the admissible
-cube.  Every guard and clip is recorded as a flag on the result.
+triple non-invertible; final coordinates are clipped back into the cube
+0 <= mu <= lam <= 1, 0 <= p <= 1.  Every guard and clip is recorded as a flag
+on the result.  Nothing checks that parameters lie in the open set
+0 < mu < lam < 1, 0 < p < 1 where the map is invertible: the forward map
+evaluates any values, and `invert_triple` flags a triple it cannot invert.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from math import inf, isfinite, isnan, nan, sqrt
 
 from .estimators import MomentEstimates
-from .model import InputError, ModelParams
+from .model import InputError
 
 # Guard thresholds; module-level so experiments can probe them.
 KAPPA_DEGENERATE_TOL = 1e-4
@@ -47,15 +51,6 @@ _BRANCH_SIGN = {"plus": 1.0, "minus": -1.0}
 
 class NonInvertibleError(ValueError):
     """The moment triple carries no information about (mu, lam, p)."""
-
-
-@dataclass(frozen=True)
-class LimitTriple:
-    """Limiting values (m, v, w) of the three trajectory statistics."""
-
-    m: float
-    v: float
-    w: float
 
 
 @dataclass(frozen=True)
@@ -75,26 +70,20 @@ class InversionResult:
 
 
 def denominator(lam: float, p: float, r_plus: float) -> float:
-    """D(lam, p) = 1 - (1-lam) p (r_plus - r_minus); positive on the admissible set."""
+    """D(lam, p) = 1 - (1-lam) p (r_plus - r_minus); positive for lam and p
+    in [0, 1] and r_plus in (0, 1)."""
     return 1.0 - (1.0 - lam) * p * (2.0 * r_plus - 1.0)
 
 
 def forward_map_values(mu: float, lam: float, p: float,
                        r_plus: float) -> tuple[float, float, float]:
-    """(m, v, w) from raw parameter values; no admissibility check."""
+    """Limit triple (m, v, w) of the parameter values; no range check."""
     r_minus = 1.0 - r_plus
     d = denominator(lam, p, r_plus)
     m = (mu + (1.0 - lam) * p * r_minus) / d
     v = (1.0 - lam) ** 2 * p * (1.0 - p) * ((m - r_minus) ** 2 + r_plus * r_minus)
     w = m * (1.0 - m) * (1.0 + 4.0 * (1.0 - lam) ** 2 * p * p * r_plus * r_minus) / d**2
     return m, v, w
-
-
-def forward_map(params: ModelParams) -> LimitTriple:
-    """Limit triple of an admissible parameter vector."""
-    params.require_admissible()
-    m, v, w = forward_map_values(params.mu, params.lam, params.p, params.r_plus)
-    return LimitTriple(m=m, v=v, w=w)
 
 
 def kappa(m: float, w: float, r_plus: float) -> float:

@@ -40,11 +40,11 @@ class InputError(ValueError):
 class ModelParams:
     """Parameter vector (mu, lam, p, r_plus) plus system size n.
 
-    Constructible parameters satisfy the relaxed constraints
-    ``0 <= mu <= lam <= 1``, ``lam > 0``, ``0 <= p <= 1``, ``0 < r_plus < 1``;
-    degenerate corners (p in {0, 1}, mu = 0 or mu = lam) are legal fixtures
-    for simulation but are rejected by inference entry points, which call
-    :meth:`require_admissible`.
+    Constructible parameters satisfy ``0 <= mu <= lam <= 1``, ``lam > 0``,
+    ``0 <= p <= 1`` and ``0 < r_plus < 1``, and all of them simulate.  The
+    moment inversion recovers parameters only on the open set
+    ``0 < mu < lam < 1``, ``0 < p < 1``, which nothing checks: a triple it
+    cannot invert comes back flagged, not as an error.
     """
 
     mu: float
@@ -73,18 +73,6 @@ class ModelParams:
     @property
     def r_minus(self) -> float:
         return 1.0 - self.r_plus
-
-    @property
-    def admissible(self) -> bool:
-        """True when the parameters lie in the open set where inference works."""
-        return 0.0 < self.mu < self.lam < 1.0 and 0.0 < self.p < 1.0
-
-    def require_admissible(self) -> None:
-        if not self.admissible:
-            raise ValueError(
-                "parameters are not admissible: need 0 < mu < lam < 1 and 0 < p < 1, "
-                f"got mu={self.mu}, lam={self.lam}, p={self.p}"
-            )
 
 
 @dataclass(frozen=True)

@@ -128,13 +128,10 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     alive = np.ones(trials, dtype=bool)
     # Walk the later-born walk down to the common time.
     for s in range(t1, t2, -1):
-        j, _ = field.draw_batch(keys[alive], a[alive], s)
-        nxt = j - 1
-        cur = np.where(alive)[0]
-        dead = cur[j == 0]
-        live = cur[j > 0]
-        alive[dead] = False
-        a[live] = nxt[j > 0]
+        idx = np.flatnonzero(alive)
+        src, copy, _ = field.draws(absorb_array(keys[idx], a[idx]), s)
+        alive[idx[~copy]] = False
+        a[idx[copy]] = src[copy]
     b = np.full(trials, i2, dtype=np.int64)
     coalesced = np.zeros(trials, dtype=bool)
     s = t2
@@ -144,13 +141,12 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
         alive &= ~meet
         if not alive.any():
             break
-        idx = np.where(alive)[0]
-        ja, _ = field.draw_batch(keys[idx], a[idx], s)
-        jb, _ = field.draw_batch(keys[idx], b[idx], s)
-        ok = (ja > 0) & (jb > 0)
-        alive[idx[~ok]] = False
-        a[idx] = ja - 1
-        b[idx] = jb - 1
+        idx = np.flatnonzero(alive)
+        # Row 0 steps walk a, row 1 walk b; a trial ends when either regenerates.
+        rows = absorb_array(keys[idx], np.stack((a[idx], b[idx])))
+        src, copy, _ = field.draws(rows, s)
+        alive[idx[~copy.all(axis=0)]] = False
+        a[idx], b[idx] = src
         s -= 1
     est = float(coalesced.mean())
     std_err = (est * (1.0 - est) / trials) ** 0.5

@@ -63,11 +63,11 @@ def default_max_depth(lam: float, tail: float = 1e-12) -> int:
 
 
 class SiteField:
-    """Lazily addressable (J, xi) randomness over the space-time lattice.
+    """Lazily addressable randomness over the space-time lattice.
 
     Draws at distinct sites are computationally independent; the draw at a
     site is a pure function of (seed, i, t) so that walks launched from
-    different sites see one shared field.
+    different sites see one shared field.  `draws` reads it.
     """
 
     __slots__ = ("key", "lam", "n", "scale", "lam_cut", "mu_cut")
@@ -82,20 +82,16 @@ class SiteField:
         self.lam_cut = ceil(self.lam * _TWO53)
         self.mu_cut = ceil(params.mu * _TWO53)
 
-    def draw_batch(self, keys, i, t) -> tuple[np.ndarray, np.ndarray]:
-        """(j, xi) at the sites (i, t): int64 j, 0 where the site regenerates,
-        else the 1-based label of the site it copies, and uint8 xi.  ``keys``
-        (the field key, or one per coalescence trial) broadcasts against i
-        and t."""
-        src, copy, xi = self._split(word_array(absorb_array(keys, i), t) >> _S11)
-        src += 1
-        src *= copy
-        return src, xi
+    def draws(self, row_keys, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, copy, xi) at the sites whose row keys absorb(key, i) and
+        times t broadcast against each other: the int64 source J - 1 (0
+        where the site regenerates), the bool copy flag J > 0 and the uint8
+        value bit xi.  The key is the field's, or one per coalescence trial."""
+        return self._split(word_array(row_keys, times) >> _S11)
 
     def _split(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """From the top 53 bits k of site words: the source site J - 1 (0 where
-        the site regenerates), the copy flag J > 0 and the uint8 bit xi.  The
-        uniforms u = k 2^-53 overwrite k, so one word-sized array stays live."""
+        """`draws` from the top 53 bits k of the site words.  The uniforms
+        u = k 2^-53 overwrite k, so one word-sized array stays live."""
         copy, xi = k >= self.lam_cut, (k < self.mu_cut).view(np.uint8)
         f = np.multiply(k, _U01, out=k.view(np.float64))
         f -= self.lam
@@ -120,7 +116,7 @@ def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
     keys absorb(key, i), as the copy rule reads them: the source src, the
     edge-and-copy mask A and the gate G = (F & A) | xi with the flip
     F = (src inhibitory)."""
-    src, copy, xi = field._split(word_array(row_keys, times[:, None]) >> _S11)
+    src, copy, xi = field.draws(row_keys, times[:, None])
     a = env.theta.take(src + np.arange(0, env.n * env.n, env.n))
     a &= copy.view(np.uint8)
     g = (src >= env.partition.size_plus).view(np.uint8)
@@ -177,7 +173,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
                                      f"max_depth or check lam")
         c = min(want, span, max_depth - depth)
         times = np.arange(1 - depth, 1 - depth - c, -1)[:, None]
-        src, copy, _ = field._split(word_array(row_keys, times) >> _S11)
+        src, copy, _ = field.draws(row_keys, times)
         for src_r, copy_r in zip(src, copy):
             keep = copy_r[site]
             site, start = src_r[site[keep]], start[keep]

@@ -134,6 +134,36 @@ class TestSample:
                  "--load-env", str(env_path), "--dump-traj", str(t2)])
         assert t1.read_text() == t2.read_text()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--n", "100", "--r-plus", "0.9"], "--n, --r-plus"),
+        (["--n", "5"], "--n"), (["--p", "0.5"], "--p"), (["--r-plus", "0.5"], "--r-plus"),
+    ])
+    def test_load_env_rejects_size_flags(self, tmp_path, capsys, flags, named):
+        # A loaded environment fixes n, theta and the partition: a flag that
+        # would name them is an input error, even at the value the file holds.
+        env_path = tmp_path / "env.txt"
+        assert run_cli(["sample", "--n", "5", "--t-len", "3",
+                        "--dump-env", str(env_path)]) == 0
+        capsys.readouterr()
+        traj_path = tmp_path / "traj.csv"
+        code = run_cli(["sample", "--t-len", "3", "--load-env", str(env_path), *flags,
+                        "--dump-traj", str(traj_path),
+                        "--dump-env", str(tmp_path / "again.txt")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"sample error: {named} cannot be used with "
+                                f"--load-env, whose environment fixes n, theta "
+                                f"and the partition\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["env.txt"]
+
+    def test_size_flag_defaults(self, tmp_path):
+        env_path = tmp_path / "env.txt"
+        assert run_cli(["sample", "--t-len", "1", "--dump-env", str(env_path),
+                        "--dump-traj", str(tmp_path / "traj.csv")]) == 0
+        env = load_environment(env_path)
+        assert (env.n, env.p, env.partition.size_plus) == (500, 0.5, 250)
+
     def test_perfect_sampler_flag(self, tmp_path):
         traj_path = tmp_path / "traj.csv"
         code = run_cli(["sample", "--n", "4", "--t-len", "12", "--seed", "5",

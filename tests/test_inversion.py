@@ -4,9 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densigraph import (ModelParams, NonInvertibleError, denominator,
-                        forward_map, forward_map_values, invert_triple,
-                        inverse_map, kappa, phi1, root_d, select_branch)
+from densigraph import (NonInvertibleError, denominator, forward_map_values,
+                        invert_triple, inverse_map, kappa, phi1, root_d,
+                        select_branch)
 from densigraph.estimators import MomentEstimates
 from densigraph.inversion import KAPPA_DEGENERATE_TOL, invert
 from densigraph.rng import Stream, derive_key
@@ -70,12 +70,6 @@ class TestForwardMap:
         for _ in range(300):
             (_, _, _), (m, _, w) = sample_admissible(stream, 0.5)
             assert w > m * (1.0 - m)
-
-    def test_rejects_non_admissible(self):
-        with pytest.raises(ValueError):
-            forward_map(ModelParams(mu=0.0, lam=0.5, p=0.5, r_plus=0.5, n=4))
-        with pytest.raises(ValueError):
-            forward_map(ModelParams(mu=0.2, lam=0.5, p=1.0, r_plus=0.5, n=4))
 
 
 class TestKappa:

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +24,6 @@ def make_env(theta, r_plus=0.5):
 
 
 class TestModelParams:
-    def test_admissible_flag(self):
-        assert ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10).admissible
-        assert not ModelParams(mu=0.0, lam=0.5, p=0.5, r_plus=0.5, n=10).admissible
-        assert not ModelParams(mu=0.2, lam=0.5, p=1.0, r_plus=0.5, n=10).admissible
-
     def test_relaxed_corners_construct(self):
         ModelParams(mu=0.0, lam=1.0, p=0.0, r_plus=0.5, n=1)
         ModelParams(mu=0.5, lam=0.5, p=1.0, r_plus=0.5, n=3)  # mu = lam
@@ -481,8 +475,6 @@ class TestSerialization:
         path = tmp_path_factory.mktemp("traj") / "traj.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_ROWS_PER_BLOCK", block)
-            # A saved file parses without the np.loadtxt fallback.
-            mp.setattr(np, "loadtxt", None)
             save_trajectory(Trajectory(x), path)
             loaded = load_trajectory(path).x
         text = path.read_text()
@@ -519,29 +511,10 @@ class TestSerialization:
     @pytest.mark.parametrize("row", ["1,1", "1,1,1,1", "a,1,1", "1,1,1.5", "1,,1",
                                      "# note", "1,1,0.9", "1.9,2,1", "1_0,1,1"])
     def test_trajectory_malformed_rows_rejected(self, tmp_path, row):
+        # A float field such as "0.9" or "1.9" is rejected, never truncated.
         path = tmp_path / "traj.csv"
         path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n \t\n{row}\n2,2,1\n")
         with pytest.raises(InputError, match="line 5"):
-            load_trajectory(path)
-
-    @pytest.mark.parametrize("row", ["1,1,0.9", "1.9,2,1"])
-    def test_trajectory_float_fields_rejected_by_truncating_numpy(
-            self, tmp_path, monkeypatch, row):
-        # numpy before 2.4 parses "0.9" into an int64 field through a float,
-        # truncates it and only warns; the loader must still reject the row.
-        real_loadtxt = np.loadtxt
-
-        def truncating_loadtxt(rows, **kwargs):
-            if not any("." in r for r in rows):
-                return real_loadtxt(rows, **kwargs)
-            warnings.warn("loadtxt(): Parsing an integer via a float is "
-                          "deprecated.", DeprecationWarning)
-            return np.array([[int(float(f)) for f in r.split(",")] for r in rows])
-
-        monkeypatch.setattr(np, "loadtxt", truncating_loadtxt)
-        path = tmp_path / "traj.csv"
-        path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n{row}\n")
-        with pytest.raises(InputError, match="line 4"):
             load_trajectory(path)
 
     @pytest.mark.parametrize("header", ["t,i,x", "# n=2", "# n=2 t_len=x",

@@ -136,6 +136,17 @@ class TestCoalescence:
             coalescence_probability_mc(params, (0, 0), (1, -1), trials=10, seed=0,
                                        max_depth=max_depth)
 
+    @pytest.mark.parametrize("z1, z2, seed, expected", [
+        # (1, 4) is born later: its walk first steps down to time 1 alone.
+        ((1, 4), (3, 1), 5, (0.059333333333333335, 0.004313269791735302)),
+        ((0, 0), (2, 0), 9, (0.09633333333333334, 0.005386811741720769)),
+    ])
+    def test_pinned_estimates(self, z1, z2, seed, expected):
+        # Exact values: any change to the site draws or the walks moves them.
+        params = ModelParams(mu=0.2, lam=0.4, p=0.5, r_plus=0.5, n=5)
+        assert coalescence_probability_mc(params, z1, z2, trials=3000,
+                                          seed=seed) == expected
+
     def test_deterministic(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)
         a = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)

@@ -62,12 +62,14 @@ class TestSiteDraw:
         keys = np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         sites = np.arange(50, dtype=np.int64) % 6
         times = np.arange(50, dtype=np.int64) - 25
-        js, xis = field.draw_batch(keys, sites, times)
+        src, copy, xis = field.draws(absorb_array(keys, sites), times)
+        js = (src + 1) * copy  # the reference's 1-based labels, 0 on regeneration
         for k in range(50):
             assert (site_draw_reference(int(keys[k]), params, int(sites[k]),
                                         int(times[k])) == (js[k], xis[k]))
-        # One shared key broadcasts over a column of sites at a scalar time.
-        js, xis = field.draw_batch(field.key, sites[:6], -4)
+        # One row key per site broadcasts against a scalar time.
+        src, copy, xis = field.draws(absorb_array(field.key, sites[:6]), -4)
+        js = (src + 1) * copy
         for i in range(6):
             assert site_draw_reference(field.key, params, i, -4) == (js[i], xis[i])
 
@@ -345,19 +347,23 @@ class TestColumnChunks:
         env = sample_environment(params, seed=11)
         field = SiteField(12, params)
         rows, times = np.arange(self.N), np.arange(2, self.T_LEN + 1)
-        src, a, g = _derive(field, env, absorb_array(field.key, rows), times)
-        j_batch, xi_batch = field.draw_batch(field.key, rows, times[:, None])
-        regen = j_batch == 0
-        copy = j_batch > 0
+        row_keys = absorb_array(field.key, rows)
+        src, a, g = _derive(field, env, row_keys, times)
+        d_src, copy, xi = field.draws(row_keys, times[:, None])
+        labels, xi_ref = np.array([[site_draw_reference(field.key, params, i, t)
+                                    for i in rows.tolist()] for t in times.tolist()]
+                                  ).transpose(2, 0, 1)
+        assert np.array_equal((d_src + 1) * copy, labels)
+        assert np.array_equal(xi, xi_ref)
+        regen = ~copy
         assert regen.any() and not regen.all()
-        assert np.array_equal(src[copy] + 1, j_batch[copy])
+        assert np.array_equal(src[copy] + 1, labels[copy])
         # Where a site regenerates, its gate is its value bit xi.
-        assert np.array_equal(g[regen], xi_batch[regen])
-        assert not xi_batch[~regen].any()
+        assert np.array_equal(g[regen], xi[regen])
         # Where it copies, the mask is the edge and the gate the flip through it.
         assert np.array_equal(a, env.theta[rows, src] & copy)
         flip = src >= env.partition.size_plus
-        assert np.array_equal(g[~regen], (flip & a)[~regen])
+        assert np.array_equal(g[copy], (flip & a)[copy])
 
     @classmethod
     @cache

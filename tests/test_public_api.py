@@ -7,17 +7,18 @@ import types
 import pytest
 
 import densigraph
-from densigraph import estimators, model, perfect
+from densigraph import estimators, inversion, model, perfect
 
 REMOVED = ["spatio_temporal_mean", "spatial_variance", "w_delta",
            "temporal_variance", "transition_probability", "site_draw", "SiteDraw",
-           "backward_walk", "BackwardWalk"]
+           "backward_walk", "BackwardWalk", "forward_map", "LimitTriple",
+           "admissible", "require_admissible", "draw_batch"]
 
 
 def test_all_is_an_explicit_list_of_public_objects():
     names = densigraph.__all__
     assert isinstance(names, list)
-    assert len(names) == len(set(names)) == 45
+    assert len(names) == len(set(names)) == 43
     for name in names:
         assert not name.startswith("_")
         assert not isinstance(getattr(densigraph, name), types.ModuleType), name
@@ -34,7 +35,8 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_absent(name):
     assert name not in densigraph.__all__
-    for owner in (densigraph, estimators, model, perfect):
+    for owner in (densigraph, estimators, inversion, model, perfect,
+                  model.ModelParams, perfect.SiteField):
         assert not hasattr(owner, name)
 
 
