@@ -3,9 +3,8 @@ interacting chains coupled through a random directed graph."""
 
 from .estimators import MomentEstimates, estimate_all
 from .forward import default_burnin, simulate, zero_state
-from .inversion import (InversionResult, NonInvertibleError, denominator,
-                        forward_map_values, invert, invert_triple, inverse_map,
-                        kappa, phi1, root_d, select_branch)
+from .inversion import (InversionResult, denominator, forward_map_values,
+                        invert, invert_triple)
 from .limits import (TheoreticalLimits, limit_inversion, limits, solve_c,
                      solve_m)
 from .model import (Environment, InputError, ModelParams, Partition,
@@ -23,9 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "MomentEstimates", "estimate_all",
     "default_burnin", "simulate", "zero_state",
-    "InversionResult", "NonInvertibleError", "denominator",
-    "forward_map_values", "invert", "invert_triple", "inverse_map", "kappa",
-    "phi1", "root_d", "select_branch",
+    "InversionResult", "denominator", "forward_map_values", "invert",
+    "invert_triple",
     "TheoreticalLimits", "limit_inversion", "limits", "solve_c", "solve_m",
     "Environment", "InputError", "ModelParams", "Partition", "Trajectory",
     "build_partition", "load_environment", "load_trajectory",

@@ -28,19 +28,6 @@ from .oracles import (binomial_mixture_shat, coalescence_probability_mc,
 from .perfect import DepthExceededError, perfect_sample
 
 
-def _add_param_flags(parser):
-    # `_params_from` resolves the defaults of --n, --p and --r-plus.
-    parser.add_argument("--n", type=int, help="number of chains (default 500)")
-    parser.add_argument("--beta", type=float, default=0.5,
-                        help="spontaneous firing probability mu/lambda")
-    parser.add_argument("--mu", type=float, default=None,
-                        help="baseline probability (overrides --beta)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    parser.add_argument("--p", type=float, help="edge probability (default 0.5)")
-    parser.add_argument("--r-plus", type=float,
-                        help="excitatory fraction (default 0.5)")
-
-
 def _params_from(args, env=None) -> ModelParams:
     """The flags' parameters.  --n, --p and --r-plus default to 500, 0.5 and
     0.5; a loaded `env` fixes n, theta and the partition, so with one they
@@ -141,7 +128,9 @@ def _cmd_oracle(args) -> int:
         for k, prob in enumerate(dist.probs):
             print(f"{k},{prob:.17g}")
     elif args.probe == "coalescence":
-        params = _params_from(args)
+        # mu, p and r_plus are placeholders: the backward walks read only n
+        # and lambda.
+        params = ModelParams(mu=0.0, lam=args.lam, p=0.5, r_plus=0.5, n=args.n)
         est, se = coalescence_probability_mc(
             params, (args.i1, args.t1), (args.i2, args.t2),
             trials=args.trials, seed=args.seed)
@@ -176,7 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sample = sub.add_parser("sample", help="draw one trajectory")
-    _add_param_flags(p_sample)
+    # `_params_from` resolves the defaults of --n, --p and --r-plus.
+    p_sample.add_argument("--n", type=int, help="number of chains (default 500)")
+    p_sample.add_argument("--beta", type=float, default=0.5,
+                          help="spontaneous firing probability mu/lambda")
+    p_sample.add_argument("--mu", type=float, default=None,
+                          help="baseline probability (overrides --beta)")
+    p_sample.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p_sample.add_argument("--p", type=float, help="edge probability (default 0.5)")
+    p_sample.add_argument("--r-plus", type=float,
+                          help="excitatory fraction (default 0.5)")
     p_sample.add_argument("--t-len", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--sampler", choices=("forward", "perfect"),
@@ -216,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     o_st.add_argument("--mu", type=float, required=True)
     o_st.add_argument("--lambda", dest="lam", type=float, required=True)
     o_co = or_sub.add_parser("coalescence")
-    _add_param_flags(o_co)
+    o_co.add_argument("--n", type=int, default=500, help="number of chains")
+    o_co.add_argument("--lambda", dest="lam", type=float, default=0.5)
     o_co.add_argument("--i1", type=int, required=True)
     o_co.add_argument("--t1", type=int, required=True)
     o_co.add_argument("--i2", type=int, required=True)

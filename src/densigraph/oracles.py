@@ -129,6 +129,8 @@ def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
     # Walk the later-born walk down to the common time.
     for s in range(t1, t2, -1):
         idx = np.flatnonzero(alive)
+        if idx.size == 0:
+            break
         src, copy, _ = field.draws(absorb_array(keys[idx], a[idx]), s)
         alive[idx[~copy]] = False
         a[idx[copy]] = src[copy]

@@ -2,15 +2,17 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops, deliberately sharing no code with the package beyond the keyed
-scalar primitives of `densigraph.rng`, which fix what the draws are.  The
-site draws compare each site's uniform with lam and mu as floats, so they
-check the integer cuts that `SiteField` compares in their place.
+scalar primitives of `densigraph.rng`, which fix what the draws are, and the
+forward moment map, whose images the inversion checks invert.  The site
+draws compare each site's uniform with lam and mu as floats, so they check
+the integer cuts that `SiteField` compares in their place.
 """
 
 import math
 
 import numpy as np
 
+from densigraph.inversion import KAPPA_DEGENERATE_TOL, forward_map_values
 from densigraph.perfect import DepthExceededError, default_max_depth
 from densigraph.rng import Stream, absorb, derive_key, uniform01, word
 
@@ -240,3 +242,51 @@ def solve_c_dense(theta, sign, lam):
 
 def binomial_sigma(p, count):
     return math.sqrt(p * (1 - p) / count)
+
+
+def sample_admissible(stream, r_plus):
+    """One uniformly random admissible (mu, lam, p) and its moment triple,
+    restricted to where the inverse problem is float64-well-posed.
+
+    Two thin layers are rejected: (a) triples whose exact moment image lands
+    in the degenerate-kappa guard window, where the collapsed double root
+    makes an exact round trip unattainable by construction (reachable only
+    for r_plus far from 1/2); (b) the boundary layer (1-lam)*p < 1e-3, where
+    phi1 = ((1-lam)p)^2 < 1e-6 falls below what a 1-ulp perturbation of w can
+    resolve, so no float64 evaluation of the inverse can reach a 1e-10 round
+    trip (the interaction signal itself vanishes at that boundary)."""
+    c = 4 * r_plus * (1 - r_plus)
+    while True:
+        u = stream.uniforms(3)
+        lam, p = float(u[0]), float(u[2])
+        mu = float(u[1]) * lam
+        if not (0 < mu < lam < 1 and 0 < p < 1):
+            continue
+        if (1 - lam) * p < 1e-3:
+            continue
+        m, v, w = forward_map_values(mu, lam, p, r_plus)
+        kappa = (2.0 * r_plus - 1.0) ** 2 * w / (m * (1.0 - m))
+        if abs(kappa - c) < 10 * KAPPA_DEGENERATE_TOL:
+            continue
+        return (mu, lam, p), (m, v, w)
+
+
+def inverse_reference(m, v, w, r_plus, branch):
+    """(mu, lam, p) of the moment triple (m, v, w) on one root D of
+    (c - kappa) D^2 - 2 c D + 1 = 0, with c = 4 r_plus r_minus and
+    kappa = (r_plus - r_minus)^2 w / (m (1-m)), and no guard or clip:
+    `branch` +1 or -1 picks D = (c + branch sqrt(c^2 - c + kappa)) / (c - kappa).
+    At r_plus = 1/2 the quadratic has the double root D = 1, and
+    q = (1-lam) p comes from w = m (1-m) (1 + q^2) instead of from
+    D = 1 - q (r_plus - r_minus)."""
+    r_minus = 1 - r_plus
+    if r_plus == 0.5:
+        d, q = 1.0, math.sqrt(w / (m * (1 - m)) - 1)
+    else:
+        c = 4 * r_plus * r_minus
+        kappa = (r_plus - r_minus) ** 2 * w / (m * (1 - m))
+        d = (c + branch * math.sqrt(c * c - c + kappa)) / (c - kappa)
+        q = (1 - d) / (r_plus - r_minus)
+    # v = q^2 (1-p)/p [(m - r_minus)^2 + r_plus r_minus] and m D = mu + q r_minus
+    inv_p = 1 + v / (q * q * ((m - r_minus) ** 2 + r_plus * r_minus))
+    return m * d - q * r_minus, 1 - q * inv_p, 1 / inv_p

@@ -12,53 +12,25 @@ import pytest
 
 from densigraph import (ModelParams, binomial_mixture_shat,
                         coalescence_probability_mc, estimate_all,
-                        exact_stationary, forward_map_values, inverse_map,
-                        kappa, limit_inversion, limits, perfect_sample,
+                        exact_stationary, forward_map_values, invert_triple,
+                        limit_inversion, limits, perfect_sample,
                         sample_environment, simulate,
                         transition_probabilities, tv_distance, zero_state)
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 from densigraph.forward import default_burnin
-from densigraph.inversion import KAPPA_DEGENERATE_TOL
 from densigraph.model import Trajectory
 from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.rng import Stream, derive_key
 
 from _reference import (binomial_sigma, block_variance_reference,
-                        mean_reference, spatial_variance_reference,
-                        temporal_variance_reference)
+                        inverse_reference, mean_reference, sample_admissible,
+                        spatial_variance_reference, temporal_variance_reference)
 
 
 def report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\ncriterion {num:2d} [{status}] {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def sample_admissible(stream, r_plus):
-    """Uniform admissible triple, restricted to where the inverse problem is
-    float64-well-posed.
-
-    Two thin layers are rejected: (a) triples whose exact moment image lands
-    in the degenerate-kappa guard window, where the collapsed double root
-    makes an exact round trip unattainable by construction (reachable only
-    for r_plus = 0.75 among the grids below); (b) the boundary layer
-    (1-lam)*p < 1e-3, where phi1 = ((1-lam)p)^2 < 1e-6 falls below what a
-    1-ulp perturbation of w can resolve, so no float64 evaluation of the
-    inverse can reach the 1e-10 tolerance (the interaction signal itself
-    vanishes at that boundary)."""
-    c = 4 * r_plus * (1 - r_plus)
-    while True:
-        u = stream.uniforms(3)
-        lam, p = float(u[0]), float(u[2])
-        mu = float(u[1]) * lam
-        if not (0 < mu < lam < 1 and 0 < p < 1):
-            continue
-        if (1 - lam) * p < 1e-3:
-            continue
-        m, v, w = forward_map_values(mu, lam, p, r_plus)
-        if abs(kappa(m, w, r_plus) - c) < 10 * KAPPA_DEGENERATE_TOL:
-            continue
-        return (mu, lam, p), (m, v, w)
 
 
 # The shared N=3 instance for criteria 3 and 4.
@@ -98,7 +70,7 @@ def test_criterion_1_inversion_round_trip():
         stream = Stream(derive_key(101, "round-trip", int(r_plus * 100)))
         for _ in range(1000):
             (mu, lam, p), (m, v, w) = sample_admissible(stream, r_plus)
-            res = inverse_map("minus", m, v, w, r_plus)
+            res = invert_triple(m, v, w, r_plus)
             worst = max(worst, abs(res.mu - mu), abs(res.lam - lam),
                         abs(res.p - p))
     elapsed = time.perf_counter() - start
@@ -114,10 +86,12 @@ def test_criterion_2_two_branch_membership():
         stream = Stream(derive_key(102, "membership", int(r_plus * 100)))
         for _ in range(1000):
             (mu, lam, p), (m, v, w) = sample_admissible(stream, r_plus)
-            best = min(
-                max(abs(res.mu - mu), abs(res.lam - lam), abs(res.p - p))
-                for res in (inverse_map(a, m, v, w, r_plus)
-                            for a in ("plus", "minus")))
+            # The "minus" root is invert_triple's, the "plus" root the reference's.
+            res = invert_triple(m, v, w, r_plus)
+            candidates = ((res.mu, res.lam, res.p),
+                          inverse_reference(m, v, w, r_plus, 1))
+            best = min(max(abs(c[0] - mu), abs(c[1] - lam), abs(c[2] - p))
+                       for c in candidates)
             worst = max(worst, best)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0

@@ -365,6 +365,24 @@ class TestOracle:
         est, se = (float(v) for v in lines[1].split(","))
         assert 0.0 <= est <= 1.0 and se >= 0.0
 
+    def test_coalescence_reads_only_n_and_lambda(self, capsys):
+        assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
+                        "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1",
+                        "--trials", "2000"]) == 0
+        assert capsys.readouterr().out == (
+            "estimate,std_err\n0.067000000000000004,0.0055906618570612911\n")
+
+    @pytest.mark.parametrize("flag", ["--p", "--r-plus", "--beta", "--mu"])
+    def test_coalescence_rejects_flags_it_would_ignore(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
+                     "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1",
+                     flag, "0.1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} 0.1" in captured.err
+
     def test_coalescence_site_out_of_range_exit_2(self, capsys):
         assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
                         "--i1", "99", "--t1", "0", "--i2", "1", "--t2", "-1",

@@ -4,40 +4,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densigraph import (NonInvertibleError, denominator, forward_map_values,
-                        invert_triple, inverse_map, kappa, phi1, root_d,
-                        select_branch)
+from densigraph import denominator, forward_map_values, invert_triple
 from densigraph.estimators import MomentEstimates
 from densigraph.inversion import KAPPA_DEGENERATE_TOL, invert
 from densigraph.rng import Stream, derive_key
+
+from _reference import inverse_reference, sample_admissible
 
 # Hand-evaluated fixture: Psi(0.25, 0.5, 0.5) at r_plus = 0.5.
 FIX_PARAMS = (0.25, 0.5, 0.5)
 FIX_TRIPLE = (0.375, 0.0166015625, 0.2490234375)
 
 
-def sample_admissible(stream: Stream, r_plus: float):
-    """One uniformly random admissible (mu, lam, p), restricted to where the
-    inverse problem is float64-well-posed: rejects triples whose exact moment
-    image lands in the degenerate-kappa guard window (collapsed double root,
-    reachable only for r_plus far from 1/2) and the boundary layer
-    (1-lam)*p < 1e-3 where phi1 < 1e-6 drops below the resolution of a 1-ulp
-    perturbation of w, making the 1e-10 round trip unattainable by any
-    float64 evaluation."""
-    while True:
-        u = stream.uniforms(3)
-        lam = float(u[0])
-        mu = float(u[1]) * lam
-        p = float(u[2])
-        if not (0 < mu < lam < 1 and 0 < p < 1):
-            continue
-        if (1 - lam) * p < 1e-3:
-            continue
-        m, v, w = forward_map_values(mu, lam, p, r_plus)
-        c = 4 * r_plus * (1 - r_plus)
-        if abs(kappa(m, w, r_plus) - c) < 10 * KAPPA_DEGENERATE_TOL:
-            continue
-        return (mu, lam, p), (m, v, w)
+def kappa_of(m, w, r_plus):
+    return (2 * r_plus - 1) ** 2 * w / (m * (1 - m))
+
+
+def w_at_kappa(kappa, m, r_plus):
+    """The w at which (m, w) has the given kappa at r_plus."""
+    return kappa * m * (1 - m) / (2 * r_plus - 1) ** 2
+
+
+def error(res, params):
+    return max(abs(res[0] - params[0]), abs(res[1] - params[1]),
+               abs(res[2] - params[2]))
+
+
+def coords(res):
+    return res.mu, res.lam, res.p
 
 
 class TestDenominator:
@@ -72,152 +66,246 @@ class TestForwardMap:
             assert w > m * (1.0 - m)
 
 
+# Exact outputs of invert_triple, one triple per guard and clip path, recorded
+# before the inversion became one straight-line function: (mu, lam, p) as
+# repr, then the guards and the clip flags as the CLI prints them.
+PINS = [
+    pytest.param((0.4, 0.01, 1.26, 0.7),
+                 ("0.0", "0.0", "0.9574955122104022", "degenerate_kappa",
+                  "lambda|mu"), id="degenerate_kappa"),
+    pytest.param((0.5, 0.01, 0.105, 0.7),
+                 ("0.39130434782608703", "0.5986086956521739", "0.54159445407279",
+                  "clamped_discriminant", ""), id="clamped_discriminant"),
+    pytest.param((0.5, 0.01, 0.3125, 0.4),
+                 ("0.34147446114645585", "0.5567862853787595", "0.7153458190661642",
+                  "arbitrary_branch", ""), id="arbitrary_branch"),
+    pytest.param((0.375, 0.0166015625, 0.2490234375, 0.5002),
+                 ("0.25001249999999997", "0.4999529323166714",
+                  "0.49995293674698793", "symmetric_r", ""), id="symmetric_r"),
+    pytest.param((0.4, 0.02, 0.12, 0.5),
+                 ("0.046446609406726236", "0.18410756016936825",
+                  "0.8666666666666667", "abs_phi1", ""), id="abs_phi1"),
+    pytest.param((0.4, 0.01, 0.24, 0.3),
+                 ("nan", "nan", "nan", "non_invertible", ""), id="non_invertible"),
+    pytest.param((0.375, -0.1, 0.2490234375, 0.5),
+                 ("0.25", "1.0", "0.0", "", "lambda|p"), id="clip_lambda_p"),
+    pytest.param((0.375, 0.0166015625, 0.2490234375, 0.5),
+                 ("0.25", "0.5", "0.5", "", ""), id="no_guard"),
+    # The symmetric closed form sets no degenerate_kappa flag, so a
+    # degenerate kappa there is an arbitrary branch.
+    pytest.param((0.4, 0.01, 1499999.7600003304, 0.5002),
+                 ("0.0", "0.0", "0.9999999938452049", "arbitrary_branch|symmetric_r",
+                  "lambda|mu"), id="symmetric_degenerate"),
+    # The double root 1 / (8 r_plus r_minus) squares past the float range.
+    pytest.param((0.5, 0.0, 0.0, 9e-238),
+                 ("nan", "nan", "nan", "non_invertible", ""), id="overflow"),
+    pytest.param((0.5, 0.01, math.inf, 0.5),
+                 ("nan", "nan", "nan", "non_invertible", ""), id="non_finite"),
+    pytest.param((0.367, 0.019, 1.023, 0.3),
+                 ("0.0", "0.003818937278982859", "0.9362735929298166", "", "mu"),
+                 id="clip_mu"),
+    pytest.param((0.518, -0.032, 0.579, 0.3),
+                 ("0.21478967397299636", "0.5986380586708647", "1.0", "", "p"),
+                 id="clip_p"),
+    pytest.param((0.941, -0.019, 1.581, 0.6),
+                 ("0.0", "0.0", "1.0", "", "lambda|mu|p"), id="clip_all"),
+    pytest.param((0.413, 0.009, -0.042, 0.3),
+                 ("0.37028963267327125", "0.5346865917192055", "0.17163124024285556",
+                  "arbitrary_branch|clamped_discriminant", ""),
+                 id="arbitrary_clamped"),
+    pytest.param((0.758, -0.012, 0.963, 0.7),
+                 ("0.016346406679041525", "0.016346406679041525", "1.0",
+                  "degenerate_kappa", "mu|p"), id="degenerate_clip_mu_p"),
+]
+
+
+@pytest.mark.parametrize("triple, expected", PINS)
+def test_pinned_outputs(triple, expected):
+    res = invert_triple(*triple)
+    assert res.branch == "minus"
+    assert (repr(res.mu), repr(res.lam), repr(res.p), "|".join(sorted(res.guards)),
+            "|".join(sorted(res.clipped))) == expected
+
+
 class TestKappa:
-    def test_symmetric_partition_vanishes(self):
-        assert kappa(0.3, 5.0, 0.5) == 0.0
-
-    def test_hand_value(self):
-        assert kappa(0.375, 0.2490234375, 0.7) == pytest.approx(0.17)
-
-    def test_linear_in_w(self):
-        assert kappa(0.375, 2 * 0.2490234375, 0.7) == pytest.approx(
-            2 * kappa(0.375, 0.2490234375, 0.7))
-
-    def test_boundary_mean_rejected(self):
-        with pytest.raises(ValueError):
-            kappa(0.0, 1.0, 0.7)
-        with pytest.raises(ValueError):
-            kappa(1.0, 1.0, 0.7)
-
-
-class TestRootD:
-    def test_degenerate_guard_returns_double_root(self):
-        r_plus = 0.7
+    @pytest.mark.parametrize("r_plus", [0.3, 0.7, 0.75])
+    @pytest.mark.parametrize("m", [0.375, 0.6])
+    def test_degenerate_window_is_kappa_near_four_r_plus_r_minus(self, m, r_plus):
         c = 4 * r_plus * (1 - r_plus)
-        m = 0.4
-        w = c * m * (1 - m) / (2 * r_plus - 1) ** 2  # exact kappa = c
-        for branch in ("plus", "minus"):
-            d, flags = root_d(branch, m, w, r_plus)
-            assert d == pytest.approx(1.0 / (2.0 * c))
-            assert flags == {"degenerate_kappa"}
+        for offset, inside in ((-0.5, True), (0.5, True), (-2.0, False), (2.0, False)):
+            w = w_at_kappa(c + offset * KAPPA_DEGENERATE_TOL, m, r_plus)
+            res = invert_triple(m, 0.01, w, r_plus)
+            assert ("degenerate_kappa" in res.guards) == inside, offset
 
-    def test_quadratic_residual(self):
+    @pytest.mark.parametrize("m", [0.0, 1.0])
+    def test_boundary_mean_is_non_invertible(self, m):
+        # kappa divides by m (1-m)
+        assert invert_triple(m, 0.01, 1.0, 0.7).guards == {"non_invertible"}
+
+    def test_symmetric_partition_kappa_vanishes(self):
+        # kappa = 0 at r_plus = 1/2 whatever w, far from 4 r_plus r_minus = 1
+        for w in (0.3, 5.0, 1e6):
+            assert "arbitrary_branch" not in invert_triple(0.3, 0.01, w, 0.5).guards
+
+
+class TestDegenerateKappa:
+    def test_double_root_is_exact_on_the_degenerate_image(self):
+        # (1-lam) p = 2/3 puts D = 2/3 at the double root 1 / (2 * 0.75).
+        params = (0.1, 1 / 6, 0.8)
+        m, v, w = forward_map_values(*params, 0.75)
+        assert kappa_of(m, w, 0.75) == pytest.approx(0.75)
+        res = invert_triple(m, v, w, 0.75)
+        assert res.guards == {"degenerate_kappa"} and not res.clipped
+        assert denominator(res.lam, res.p, 0.75) == pytest.approx(2 / 3)
+        assert error(coords(res), params) < 1e-12
+
+    def test_roots_collapse_so_no_branch_is_arbitrary(self):
+        r_plus, m = 0.7, 0.4
+        w = w_at_kappa(4 * r_plus * (1 - r_plus), m, r_plus)
+        assert invert_triple(m, 0.01, w, r_plus).guards == {"degenerate_kappa"}
+
+    def test_nearly_symmetric_degenerate_kappa_is_an_arbitrary_branch(self):
+        r_plus, m = 0.5 + 2e-4, 0.4
+        w = w_at_kappa(4 * r_plus * (1 - r_plus), m, r_plus)
+        assert invert_triple(m, 0.01, w, r_plus).guards == {"symmetric_r",
+                                                             "arbitrary_branch"}
+
+    def test_minus_root_approaches_the_double_root(self):
+        r_plus, m = 0.75, 0.375
+        c = 4 * r_plus * (1 - r_plus)
+        errors = []
+        for offset in (1e-2, 1e-3, 2e-4):
+            res = invert_triple(m, 0.01, w_at_kappa(c + offset, m, r_plus), r_plus)
+            assert not res.guards and not res.clipped
+            errors.append(abs(denominator(res.lam, res.p, r_plus) - 1.0 / (2.0 * c)))
+        assert errors == sorted(errors, reverse=True)
+        assert errors[-1] < 2e-3
+
+
+class TestRoots:
+    def test_roots_solve_the_quadratic(self):
+        # The reference's two roots solve it, and invert_triple takes
+        # (1-lam) p = |1 - D| / |r_plus - r_minus| on the "minus" root D.
         stream = Stream(derive_key(3, "residual"))
+        checked = 0
         for r_plus in (0.3, 0.7):
             c = 4 * r_plus * (1 - r_plus)
             for _ in range(300):
                 u = stream.uniforms(2)
                 m = 0.05 + 0.9 * float(u[0])
                 w = 0.05 + 3.0 * float(u[1])
-                k = kappa(m, w, r_plus)
+                k = kappa_of(m, w, r_plus)
                 if abs(k - c) < 10 * KAPPA_DEGENERATE_TOL or c * c - c + k <= 0:
                     continue
-                for branch in ("plus", "minus"):
-                    d, flags = root_d(branch, m, w, r_plus)
-                    assert not flags
-                    residual = (c - k) * d * d - 2.0 * c * d + 1.0
-                    assert abs(residual) < 1e-9
+                plus, minus = (
+                    denominator(*inverse_reference(m, 0.01, w, r_plus, branch)[1:], r_plus)
+                    for branch in (1, -1))
+                for d in (plus, minus):
+                    assert abs((c - k) * d * d - 2.0 * c * d + 1.0) < 1e-9
+                res = invert_triple(m, 0.01, w, r_plus)
+                assert res.guards <= {"arbitrary_branch"}
+                if not res.clipped:
+                    assert (1 - res.lam) * res.p == pytest.approx(
+                        abs(1 - minus) / abs(2 * r_plus - 1), abs=1e-9)
+                    checked += 1
+        assert checked > 50
 
     def test_minus_root_recovers_denominator(self):
         stream = Stream(derive_key(4, "roundtrip-d"))
         for _ in range(200):
             (mu, lam, p), (m, v, w) = sample_admissible(stream, 0.7)
-            d, _ = root_d("minus", m, w, 0.7)
-            assert d == pytest.approx(denominator(lam, p, 0.7), abs=1e-9)
+            res = invert_triple(m, v, w, 0.7)
+            assert denominator(res.lam, res.p, 0.7) == pytest.approx(
+                denominator(lam, p, 0.7), abs=1e-9)
 
     def test_discriminant_clamp_flag(self):
         # kappa far below c with tiny w drives the discriminant negative
-        r_plus = 0.7
+        r_plus, m = 0.7, 0.5
         c = 4 * r_plus * (1 - r_plus)
-        m = 0.5
-        w = (c - c * c) / 2 * m * (1 - m) / (2 * r_plus - 1) ** 2
-        d, flags = root_d("plus", m, w, r_plus)
-        assert "clamped_discriminant" in flags
-        assert math.isfinite(d)
+        res = invert_triple(m, 0.01, w_at_kappa((c - c * c) / 2, m, r_plus), r_plus)
+        assert res.guards == {"clamped_discriminant"}
+        assert all(math.isfinite(x) for x in coords(res))
 
 
-class TestPhi:
-    def test_symmetric_fixture(self):
-        m, v, w = FIX_TRIPLE
-        val, flags = phi1("minus", m, w, 0.5)
-        assert val == pytest.approx(0.0625)
-        assert not flags  # exactly symmetric: the closed form is definitional
-        assert 1.0 / inverse_map("minus", m, v, w, 0.5).p == pytest.approx(2.0)
+class TestSymmetricPartition:
+    def test_closed_form_at_one_half_is_no_guard(self):
+        res = invert_triple(*FIX_TRIPLE, 0.5)
+        assert res.guards == frozenset()
+        assert ((1 - res.lam) * res.p) ** 2 == pytest.approx(0.0625)
+        assert 1.0 / res.p == pytest.approx(2.0)
 
     def test_nearly_symmetric_flag(self):
-        m, _, w = FIX_TRIPLE
-        _, flags = phi1("minus", m, w, 0.5 + 2e-4)
-        assert "symmetric_r" in flags
+        assert "symmetric_r" in invert_triple(*FIX_TRIPLE, 0.5 + 2e-4).guards
 
     def test_absolute_value_guard(self):
         m = 0.4
-        w = 0.5 * m * (1 - m)  # below the Bernoulli variance: phi1 < 0
-        val, flags = phi1("minus", m, w, 0.5)
-        assert val == pytest.approx(0.5)
-        assert "abs_phi1" in flags
-
-    def test_vanishing_phi1_is_non_invertible(self):
-        m = 0.4
-        w = m * (1 - m)
-        val, _ = phi1("minus", m, w, 0.5)
-        assert val == 0.0
-        with pytest.raises(NonInvertibleError):
-            inverse_map("minus", m, 0.01, w, 0.5)
+        w = 0.5 * m * (1 - m)  # below the Bernoulli variance: phi1 = -1/2
+        res = invert_triple(m, 0.02, w, 0.5)
+        assert res.guards == {"abs_phi1"} and not res.clipped
+        assert ((1 - res.lam) * res.p) ** 2 == pytest.approx(0.5)
+        assert all(math.isfinite(x) for x in coords(res))
 
 
-class TestInverseMap:
-    def test_symmetric_fixture_recovers_parameters(self):
-        m, v, w = FIX_TRIPLE
-        res = inverse_map("minus", m, v, w, 0.5)
-        assert (res.mu, res.lam, res.p) == pytest.approx((0.25, 0.5, 0.5))
-
-    def test_minus_branch_identity_for_large_r_plus(self):
+class TestBranches:
+    def test_minus_root_identity_for_large_r_plus(self):
         stream = Stream(derive_key(5, "identity"))
         for r_plus in (0.5, 0.6, 0.75):
             for _ in range(200):
-                (mu, lam, p), (m, v, w) = sample_admissible(stream, r_plus)
-                res = inverse_map("minus", m, v, w, r_plus)
-                err = max(abs(res.mu - mu), abs(res.lam - lam), abs(res.p - p))
-                assert err < 1e-10
+                params, (m, v, w) = sample_admissible(stream, r_plus)
+                res = invert_triple(m, v, w, r_plus)
+                assert "arbitrary_branch" not in res.guards
+                assert error(coords(res), params) < 1e-10
 
     def test_two_branch_membership_for_small_r_plus(self):
         stream = Stream(derive_key(6, "membership"))
         for r_plus in (0.3, 0.4):
             for _ in range(200):
-                (mu, lam, p), (m, v, w) = sample_admissible(stream, r_plus)
-                errs = []
-                for branch in ("plus", "minus"):
-                    res = inverse_map(branch, m, v, w, r_plus)
-                    errs.append(max(abs(res.mu - mu), abs(res.lam - lam),
-                                    abs(res.p - p)))
+                params, (m, v, w) = sample_admissible(stream, r_plus)
+                errs = [error(inverse_reference(m, v, w, r_plus, branch), params)
+                        for branch in (1, -1)]
                 assert min(errs) < 1e-10
+                res = invert_triple(m, v, w, r_plus)
+                if "arbitrary_branch" not in res.guards:
+                    assert error(coords(res), params) < 1e-10
 
-
-class TestSelectBranch:
     def test_large_r_plus_forces_minus(self):
-        assert select_branch(0.4, 0.01, 0.3, 0.6) == "minus"
+        assert invert_triple(0.4, 0.01, 0.3, 0.6).guards == frozenset()
 
     def test_kappa_above_threshold_forces_minus(self):
         # r_plus = 0.4: kappa = 0.97 > 4 r+ r- = 0.96
         m = 0.5
-        w = 0.97 * m * (1 - m) / (2 * 0.4 - 1) ** 2
-        assert kappa(m, w, 0.4) == pytest.approx(0.97)
-        assert select_branch(m, 0.01, w, 0.4) == "minus"
+        w = w_at_kappa(0.97, m, 0.4)
+        assert kappa_of(m, w, 0.4) == pytest.approx(0.97)
+        assert "arbitrary_branch" not in invert_triple(m, 0.01, w, 0.4).guards
 
-    def test_ambiguous_region_returns_either(self):
-        # r_plus = 0.4 with small kappa: d_plus stays below 2 r_minus
+    def test_ambiguous_region_is_an_arbitrary_branch(self):
+        # r_plus = 0.4 with small kappa: the plus root stays below 2 r_minus
         m = 0.5
-        w = 0.05 * m * (1 - m) / (2 * 0.4 - 1) ** 2
-        d_plus, _ = root_d("plus", m, w, 0.4)
-        assert d_plus <= 2 * 0.6
-        assert select_branch(m, 0.01, w, 0.4) == "either"
+        w = w_at_kappa(0.05, m, 0.4)
+        plus = inverse_reference(m, 0.01, w, 0.4, 1)
+        assert denominator(plus[1], plus[2], 0.4) <= 2 * 0.6
+        res = invert_triple(m, 0.01, w, 0.4)
+        assert res.branch == "minus"
+        assert "arbitrary_branch" in res.guards
 
-    def test_degenerate_kappa_returns_either(self):
-        r_plus = 0.7
-        c = 4 * r_plus * (1 - r_plus)
-        m = 0.4
-        w = c * m * (1 - m) / (2 * r_plus - 1) ** 2
-        assert select_branch(m, 0.01, w, r_plus) == "either"
+    def test_arbitrary_branch_flag_follows_the_plus_root(self):
+        stream = Stream(derive_key(7, "plus-root"))
+        counts = {True: 0, False: 0}
+        for r_plus in (0.3, 0.4, 0.45):
+            c = 4 * r_plus * (1 - r_plus)
+            for _ in range(300):
+                u = stream.uniforms(2)
+                m = 0.05 + 0.9 * float(u[0])
+                w = 0.02 + 0.5 * float(u[1])
+                k = kappa_of(m, w, r_plus)
+                if abs(k - c) < 10 * KAPPA_DEGENERATE_TOL or c * c - c + k <= 0:
+                    continue
+                plus = inverse_reference(m, 0.01, w, r_plus, 1)
+                ambiguous = k < c and denominator(plus[1], plus[2], r_plus) <= 2 * (1 - r_plus)
+                res = invert_triple(m, 0.01, w, r_plus)
+                assert ("arbitrary_branch" in res.guards) == ambiguous
+                counts[ambiguous] += 1
+        assert min(counts.values()) > 50
 
 
 class TestInvert:
@@ -234,8 +322,8 @@ class TestInvert:
     def test_clipping_of_out_of_range_coordinates(self):
         # negative v drives 1/p negative: lam > 1 and p < 0 before clipping
         m, _, w = FIX_TRIPLE
-        raw = inverse_map("minus", m, -0.1, w, 0.5)
-        assert raw.lam > 1.0 and raw.p < 0.0
+        _, raw_lam, raw_p = inverse_reference(m, -0.1, w, 0.5, -1)
+        assert raw_lam > 1.0 and raw_p < 0.0
         res = invert_triple(m, -0.1, w, 0.5)
         assert res.lam == 1.0 and res.p == 0.0
         assert {"lambda", "p"} <= res.clipped
@@ -289,13 +377,6 @@ class TestInvert:
         else:
             assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
 
-    def test_arbitrary_branch_flagged(self):
-        m = 0.5
-        w = 0.05 * m * (1 - m) / (2 * 0.4 - 1) ** 2
-        res = invert_triple(m, 0.01, w, 0.4)
-        assert res.branch == "minus"
-        assert "arbitrary_branch" in res.guards
-
     def test_ordering_constraint_after_clipping(self):
         stream = Stream(derive_key(8, "monotone"))
         for _ in range(500):
@@ -309,19 +390,3 @@ class TestInvert:
                     continue
                 assert 0.0 <= res.mu <= res.lam <= 1.0
                 assert 0.0 <= res.p <= 1.0
-
-
-class TestContinuityNearDegenerateKappa:
-    def test_minus_branch_approaches_guard_value(self):
-        r_plus = 0.75
-        c = 4 * r_plus * (1 - r_plus)
-        m = 0.375
-        guard_d = 1.0 / (2.0 * c)
-        errors = []
-        for offset in (1e-2, 1e-3, 2e-4):
-            w = (c + offset) * m * (1 - m) / (2 * r_plus - 1) ** 2
-            d, flags = root_d("minus", m, w, r_plus)
-            assert not flags
-            errors.append(abs(d - guard_d))
-        assert errors == sorted(errors, reverse=True)
-        assert errors[-1] < 2e-3

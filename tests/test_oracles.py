@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from densigraph import (ExactDistribution, ModelParams, Partition,
+from densigraph import (ExactDistribution, ModelParams, Partition, SiteField,
                         binomial_mixture_shat,
                         coalescence_probability_mc, covariance_mc,
                         exact_stationary, solve_m, tv_distance)
@@ -146,6 +146,22 @@ class TestCoalescence:
         params = ModelParams(mu=0.2, lam=0.4, p=0.5, r_plus=0.5, n=5)
         assert coalescence_probability_mc(params, z1, z2, trials=3000,
                                           seed=seed) == expected
+
+    def test_walk_down_stops_once_every_walk_regenerated(self, monkeypatch):
+        # At lambda = 1/2 all 100 later-born walks regenerate within a few
+        # dozen of the 20000 steps down to the common time.
+        calls = []
+        draws = SiteField.draws
+
+        def counting_draws(self, row_keys, times):
+            calls.append(times)
+            return draws(self, row_keys, times)
+
+        monkeypatch.setattr(SiteField, "draws", counting_draws)
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
+        assert coalescence_probability_mc(params, (0, 20000), (1, 0), trials=100,
+                                          seed=0) == (0.0, 0.0)
+        assert 0 < len(calls) < 100
 
     def test_deterministic(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)
