@@ -2,11 +2,10 @@
 
 `simulate` runs the perfect sampler's copy rule (see `densigraph.perfect`),
 whose one-step law is the model's transition probability, forward from
-``x0`` placed at field time ``-burnin`` of the same site field.  Wherever the
-first column's backward walks regenerate within the burn-in, the recorded
-window is `perfect_sample`'s exact stationary window bit for bit.  The steps
-fill one time-major buffer, handed over through `model._adopt` unscanned:
-the returned trajectory views its rows after the start.
+``x0`` placed at field time ``-burnin`` of the same site field, through the
+runner that `perfect_sample` starts from zeros.  Wherever the first column's
+backward walks regenerate within the burn-in, the recorded window is
+`perfect_sample`'s exact stationary window bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
                     _check_binary)
-from .perfect import SiteField, _copy_columns, default_max_depth
+from .perfect import SiteField, _window, default_max_depth
 from .rng import absorb_array
 
 
@@ -37,7 +36,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
     ``burnin == 0``.  Output is a deterministic function of all arguments,
     and a longer run with the same inputs extends a shorter one (prefix
     property), which experiment batches rely on.  Step k (1-based) reads the
-    site field at time k - burnin.
+    site field at time k - burnin.  Memory is the window plus one draw chunk.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -51,14 +50,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
 
     field = SiteField(seed, params)
     keys = absorb_array(field.key, np.arange(n))
-    x = np.empty((t_len + 1, n), dtype=np.uint8)  # time-major; row 0 is the start
-    x[0] = x0
-    for t0 in range(-burnin, 0, t_len):  # the burn-in, t_len steps at a time
-        steps = min(t_len, -t0)
-        _copy_columns(field, env, x[:steps + 1], t0, keys)
-        x[0] = x[steps]
-    _copy_columns(field, env, x, 0, keys)
-    return _adopt(Trajectory, x=x[1:].T)
+    return _adopt(Trajectory, x=_window(field, env, keys, x0, -burnin, t_len).T)
 
 
 def zero_state(n: int) -> np.ndarray:

@@ -16,20 +16,17 @@ exactly, and every later column is one copy step from the one before it
 (coupling from the past).  The window is a sample of the stationary chain
 with no burn-in error.
 
-One engine serves both samplers.  `_derive` turns a chunk of columns into
-what the copy rule reads at each site -- the source J-1, the edge-and-copy
-mask and the gate -- comparing the top 53 bits of the site's word with
-integer cuts of lam and mu in place of u; `_copy_columns` builds each column
-from the one before it.  `perfect_sample` is two steps: it draws only the
-sources and copy flags of the columns backward from time 1, following all
-the column-1 walks through them at once and keeping nothing but the live
-walks, until the last walk regenerates at depth D; then `_copy_columns` runs
-from zeros at field time 1 - D over the D + t_len - 1 columns that follow,
-as the forward sampler runs it from its own start.  Row keys are hashed once
-per call, and at most `DRAW_BUDGET` sites are drawn at a time.  The returned
-trajectory views the window's rows of the time-major buffer, or a copy of
-them when the D rows before the window outnumber it, handed over through
-`model._adopt` with no second scan or copy.
+One engine serves both samplers.  `_derive` turns a chunk of at most
+`DRAW_BUDGET` sites into what the copy rule reads at each -- the source J-1,
+the edge-and-copy mask and the gate -- comparing the top 53 bits of the
+site's word with integer cuts of lam and mu in place of u; `_copy_columns`
+builds a chunk's columns, each from the one before; `_window` runs them from
+a start at field time t0 <= 0, holding at most one chunk of rows before the
+window at times 1 .. t_len.  `perfect_sample` follows all the column-1 walks
+backward at once through the sources and copy flags alone, keeping only the
+live walks, until the last regenerates at depth D; then `_window` runs from
+zeros at time 1 - D, as `simulate` runs it from its own start.  Row keys are
+hashed once per call.
 """
 
 from __future__ import annotations
@@ -129,15 +126,30 @@ def _copy_columns(field: SiteField, env: Environment, x: np.ndarray, t0: int,
                   row_keys: np.ndarray) -> None:
     """Fill x[1:] of the time-major array x from x[0], the state at field time
     t0, by the copy rule x[r] = (x[r-1][src] & A) ^ G with the draws at field
-    time t0 + r, derived in chunks of `DRAW_BUDGET` sites: one gather and two
-    uint8 operations a column."""
+    time t0 + r, derived in one chunk (x has at most `DRAW_BUDGET // n` + 1
+    rows): one gather and two uint8 operations a column."""
+    src, a, g = _derive(field, env, row_keys, np.arange(t0 + 1, t0 + len(x)))
+    for prev, cur, s, a_r, g_r in zip(x, x[1:], src, a, g):
+        np.bitwise_and(prev[s], a_r, out=cur)
+        cur ^= g_r
+
+
+def _window(field: SiteField, env: Environment, row_keys: np.ndarray, x0,
+            t0: int, t_len: int) -> np.ndarray:
+    """The copy rule from x0, the state at field time t0 <= 0, at times 1 ..
+    t_len, time-major: a view of the buffer, or a copy when its rows before
+    the window outnumber it.  Steps before those rows run in place."""
     span = max(1, DRAW_BUDGET // env.n)
-    for lo in range(1, len(x), span):
-        hi = min(lo + span, len(x))
-        src, a, g = _derive(field, env, row_keys, np.arange(t0 + lo, t0 + hi))
-        for prev, cur, s, a_r, g_r in zip(x[lo - 1:hi], x[lo:hi], src, a, g):
-            np.bitwise_and(prev[s], a_r, out=cur)
-            cur ^= g_r
+    lead = min(-t0, span)  # steps before time 1 kept in the buffer
+    x = np.empty((lead + 1 + t_len, env.n), dtype=np.uint8)
+    x[0] = x0
+    for t in range(t0, -lead, span):
+        steps = min(span, -lead - t)
+        _copy_columns(field, env, x[:steps + 1], t, row_keys)
+        x[0] = x[steps]
+    for lo in range(0, lead + t_len, span):  # row lo holds time lo - lead
+        _copy_columns(field, env, x[lo:lo + span + 1], lo - lead, row_keys)
+    return x[lead + 1:].copy() if lead + 1 > t_len else x[lead + 1:]
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
@@ -148,9 +160,9 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     2 - d_i (`DepthExceededError` if one takes more than `max_depth` draws).
     The sources and copy flags of the columns at times 1, 0, -1, .. are drawn
     in chunks, and all n walks follow their sources through each chunk at
-    once until the last one regenerates, at depth D = max d_i.  The copy rule
-    then runs from zeros at field time 1 - D, which gives column 1 exactly,
-    and on over columns 2 .. t_len.
+    once until the last one regenerates, at depth D = max d_i.  `_window`
+    runs the copy rule from zeros at time 1 - D, giving column 1 exactly and
+    then 2 .. t_len, with at most one chunk of rows before the window.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -181,9 +193,5 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
             if not site.size:
                 break
         want *= 2
-    # time-major; row 0 holds zeros at field time 1 - depth, row depth is time 1
-    x = np.zeros((depth + t_len, n), dtype=np.uint8)
-    _copy_columns(field, env, x, 1 - depth, row_keys)
-    # Handed over as a view, unless the depth rows before the window outnumber it.
-    x = x[depth:].copy() if depth > t_len else x[depth:]
+    x = _window(field, env, row_keys, np.zeros(n, np.uint8), 1 - depth, t_len)
     return _adopt(Trajectory, x=x.T)

@@ -1,6 +1,9 @@
+from math import ceil
+
 import numpy as np
 import pytest
 
+from densigraph import perfect
 from densigraph import (ModelParams, build_partition, default_burnin,
                         perfect_sample, sample_environment, simulate,
                         transition_probabilities, zero_state)
@@ -120,35 +123,39 @@ def test_x0_is_checked_by_the_shared_binary_check(x0):
 
 
 def _block(n):
-    """Steps whose site draws `simulate` makes in one call."""
+    """Steps whose site draws `simulate` makes in one engine call."""
     return max(1, DRAW_BUDGET // n)
 
 
 # (n, lam, r_plus, t_len, burnin), with t_len and burnin given as (k, d) for
-# k * block + d, so that each case lands on or next to a block boundary.
+# k * block + d.  The runner advances any burn-in beyond its last block in
+# place, a block at a time, then runs the last min(burnin, block) burn-in
+# steps and the window as one pass; each case puts that pass's length
+# min(burnin, block) + t_len on or next to a block boundary.
 KERNEL_CASES = [
     (1, 0.5, 0.5, (0, 1), (0, 0)),       # size_plus == n
     (1, 0.05, 0.3, (1, 1), (0, 0)),
     (3, 0.05, 0.99, (1, -1), (0, 0)),    # size_plus == n
     (3, 0.5, 0.5, (1, 0), (0, 0)),
-    (50, 0.05, 0.3, (1, 1), (0, 2)),
-    (50, 0.2, 0.6, (1, 0), (1, -3)),     # burn-in ends inside block 1
+    (50, 0.05, 0.3, (1, -1), (0, 2)),
+    (50, 0.2, 0.6, (1, 3), (1, -3)),     # burn-in ends inside block 1
     (500, 0.05, 0.5, (0, 1), (0, 0)),
     (500, 0.5, 0.5, (1, -1), (0, 0)),
     (500, 0.5, 0.7, (1, 0), (0, 0)),
     (500, 0.9, 0.3, (1, 1), (0, 0)),
-    (500, 0.5, 0.5, (2, 7), (1, 4)),     # burn-in ends inside block 2
+    (500, 0.5, 0.5, (2, 1), (1, 4)),     # 4 burn-in steps run in place first
 ]
 
 
-def _check_against_reference(n, mu, lam, r_plus, t_len, burnin):
-    params = ModelParams(mu=mu, lam=lam, p=0.5, r_plus=r_plus, n=n)
+def _check_against_reference(n, mu, lam, r_plus, t_len, burnin, p=0.5):
+    params = ModelParams(mu=mu, lam=lam, p=p, r_plus=r_plus, n=n)
     env = sample_environment(params, seed=n)
     x0 = (np.arange(n) % 3 == 1).astype(np.uint8)
     got = simulate(env, params, x0, t_len, burnin=burnin, seed=t_len)
     want = simulate_reference(env, params, x0, t_len, burnin, seed=t_len)
     assert got.x.shape == (n, t_len)
     assert np.array_equal(got.x, want)
+    return env, params, got.x
 
 
 # The name dates from the float32 matvec kernel, when the reference was a
@@ -160,13 +167,41 @@ def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
     _check_against_reference(n, 0.4 * lam, lam, r_plus, t_len, burnin)
 
 
+@pytest.mark.parametrize("t_len", [3, 65])
+@pytest.mark.parametrize("burnin", [100, 131])
+def test_start_carries_across_burnin_blocks(burnin, t_len):
+    # At n = 500 a block is 65 steps, so the burn-in spans two or more blocks.
+    # At p = 1 every copy keeps or flips its source, so the complement of x0
+    # flips each cell whose walk outlives the burn-in, as most do at lam = 0.01:
+    # a burn-in advanced by the wrong number of steps shows.
+    env, params, got = _check_against_reference(500, 0.004, 0.01, 0.5, t_len,
+                                                burnin, p=1.0)
+    flipped = (np.arange(500) % 3 != 1).astype(np.uint8)
+    other = simulate(env, params, flipped, t_len, burnin=burnin, seed=t_len)
+    assert not np.array_equal(got, other.x)
+
+
+def test_burnin_advances_a_block_per_engine_call(monkeypatch):
+    # The default burn-in at lam = 0.01 is 1,375 steps.  At n = 500 it must
+    # advance a 65-step block per engine call, not t_len steps per call.
+    n, lam, t_len = 500, 0.01, 1
+    params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
+    env = sample_environment(params, seed=n)
+    burnin, calls = default_burnin(lam), []
+    derive = perfect._derive
+    monkeypatch.setattr(perfect, "_derive",
+                        lambda *args: calls.append(args) or derive(*args))
+    simulate(env, params, zero_state(n), t_len, burnin=burnin, seed=0)
+    assert len(calls) <= ceil((burnin + t_len) / _block(n)) + 1 == 23
+
+
 @pytest.mark.parametrize("n, mu, lam, t_len, burnin", [
     (50, 0.3, 1.0, 700, 3),      # lam = 1: every site regenerates
     (50, 0.0, 0.5, 700, 3),      # mu = 0: regenerations are silent
     (50, 0.3, 0.3, 700, 3),      # mu = lam: regenerations fire
     (7, 0.0, 0.05, 40, 0),       # long walks, no burn-in
-    (5, 0.1, 0.2, 1, 9),         # burn-in runs one step at a time
-    (50, 0.1, 0.25, 30, 100),    # burn-in in four passes, the last partial
+    (5, 0.1, 0.2, 1, 9),         # one-row window, copied from the pass
+    (50, 0.1, 0.25, 30, 100),    # burn-in longer than the window, copied
 ])
 def test_matches_scalar_reference_at_corners(n, mu, lam, t_len, burnin):
     _check_against_reference(n, mu, lam, 0.5, t_len, burnin)
