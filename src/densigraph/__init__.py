@@ -12,7 +12,7 @@ from .model import (Environment, InputError, ModelParams, Partition,
                     load_trajectory, sample_environment, save_environment,
                     save_trajectory, transition_probabilities)
 from .oracles import (ExactDistribution, binomial_mixture_shat,
-                      coalescence_probability_mc, covariance_mc,
+                      coalescence_probability, covariance_mc,
                       exact_stationary, tv_distance)
 from .perfect import (DepthExceededError, SiteField, default_max_depth,
                       perfect_sample)
@@ -29,7 +29,7 @@ __all__ = [
     "build_partition", "load_environment", "load_trajectory",
     "sample_environment", "save_environment", "save_trajectory",
     "transition_probabilities",
-    "ExactDistribution", "binomial_mixture_shat", "coalescence_probability_mc",
+    "ExactDistribution", "binomial_mixture_shat", "coalescence_probability",
     "covariance_mc", "exact_stationary", "tv_distance",
     "DepthExceededError", "SiteField", "default_max_depth", "perfect_sample",
 ]

@@ -3,7 +3,7 @@
 Subcommands: `run` (batch experiments from a config file), `sample` (single
 trajectory), `estimate` (moment statistics of a dumped trajectory), `invert`
 (moments -> parameters), `limits` (environment-level exact limits), and
-`oracle` (brute-force debugging probes).
+`oracle` (exact and brute-force debugging probes).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .limits import limits as compute_limits
 from .model import (InputError, ModelParams, load_environment,
                     sample_environment, save_environment, load_trajectory,
                     save_trajectory)
-from .oracles import (binomial_mixture_shat, coalescence_probability_mc,
+from .oracles import (binomial_mixture_shat, coalescence_probability,
                       exact_stationary)
 from .perfect import DepthExceededError, perfect_sample
 
@@ -131,11 +131,9 @@ def _cmd_oracle(args) -> int:
         # mu, p and r_plus are placeholders: the backward walks read only n
         # and lambda.
         params = ModelParams(mu=0.0, lam=args.lam, p=0.5, r_plus=0.5, n=args.n)
-        est, se = coalescence_probability_mc(
-            params, (args.i1, args.t1), (args.i2, args.t2),
-            trials=args.trials, seed=args.seed)
-        print("estimate,std_err")
-        print(f"{est:.17g},{se:.17g}")
+        prob = coalescence_probability(params, (args.i1, args.t1), (args.i2, args.t2))
+        print("probability")
+        print(f"{prob:.17g}")
     elif args.probe == "shat":
         try:
             b = np.array([int(v) for v in args.b.split(",")])
@@ -220,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     o_co.add_argument("--t1", type=int, required=True)
     o_co.add_argument("--i2", type=int, required=True)
     o_co.add_argument("--t2", type=int, required=True)
-    o_co.add_argument("--trials", type=int, default=100_000)
-    o_co.add_argument("--seed", type=int, default=0)
     o_sh = or_sub.add_parser("shat")
     o_sh.add_argument("--b", required=True, help="comma-separated site totals")
     o_sh.add_argument("--t-len", type=int, required=True)

@@ -1,22 +1,24 @@
-"""Independent brute-force references for validating the samplers.
+"""Independent exact and brute-force references for validating the samplers.
 
 Everything here is deliberately simple and separate from the production
 paths: exact stationary distributions by power iteration over the full
-2^n state space (n <= 12), Monte-Carlo probes of backward-walk coalescence
-and of stationary covariances, and the binomial-mixture moment estimator for
-the inverse density 1/p used as a sanity benchmark.
+2^n state space (n <= 12), the closed-form probability that two backward
+walks coalesce, a Monte-Carlo probe of stationary covariances, and the
+binomial-mixture moment estimator for the inverse density 1/p used as a
+sanity benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log1p
 
 import numpy as np
 
 from .model import (Environment, InputError, ModelParams,
                     transition_probabilities)
-from .perfect import SiteField, _depth_bound, perfect_sample
-from .rng import absorb_array, derive_key
+from .perfect import perfect_sample
+from .rng import derive_key
 
 MAX_EXACT_SITES = 12
 
@@ -100,59 +102,31 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(pa - qa).sum())
 
 
-def coalescence_probability_mc(params: ModelParams, z1: tuple[int, int],
-                               z2: tuple[int, int], trials: int, seed: int,
-                               max_depth: int | None = None) -> tuple[float, float]:
-    """Fraction of shared-field backward-walk pairs that ever meet.
+def coalescence_probability(params: ModelParams, z1: tuple[int, int],
+                            z2: tuple[int, int]) -> float:
+    """Probability that the backward walks from sites z1 and z2 ever meet.
 
-    Both walks of a trial read one site field (per-trial key), exactly the
-    coupling under which coalescence is defined: walks occupying the same
-    site at the same time follow identical draws afterwards.  Returns the
-    estimate and its binomial standard error.
+    A walk regenerates with probability lam at each step and otherwise moves
+    to a uniform site, whatever theta is, and two walks read independent
+    draws until they meet.  With q = (1 - lam)^2, two walks on distinct
+    sites at one time meet with probability P0 = (q/n) / (1 - q(1 - 1/n)),
+    and walks a lag d >= 1 apart with (1 - lam)^d (1/n + (1 - 1/n) P0).
+    Reads only n and lam; 1 - q(1 - 1/n) is taken as lam(2 - lam) + q/n and
+    (1 - lam)^d through log1p, so a tiny lam keeps its digits.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    (i1, t1), (i2, t2) = z1, z2
+    n, lam = params.n, params.lam
     if z1 == z2:
         raise InputError("coalescence probe needs two distinct sites")
-    if not (0 <= z1[0] < params.n and 0 <= z2[0] < params.n):
-        raise InputError(f"site indices {z1[0]}, {z2[0]} must lie in 0..{params.n - 1}")
-    max_depth = _depth_bound(max_depth, params.lam)
-    field = SiteField(0, params)  # parameters only; per-trial keys replace field.key
-    keys = absorb_array(derive_key(seed, "coalescence"),
-                        np.arange(trials, dtype=np.int64))
-
-    (i1, t1), (i2, t2) = z1, z2
-    if t1 < t2:
-        (i1, t1), (i2, t2) = (i2, t2), (i1, t1)
-    a = np.full(trials, i1, dtype=np.int64)
-    alive = np.ones(trials, dtype=bool)
-    # Walk the later-born walk down to the common time.
-    for s in range(t1, t2, -1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        src, copy, _ = field.draws(absorb_array(keys[idx], a[idx]), s)
-        alive[idx[~copy]] = False
-        a[idx[copy]] = src[copy]
-    b = np.full(trials, i2, dtype=np.int64)
-    coalesced = np.zeros(trials, dtype=bool)
-    s = t2
-    for _ in range(max_depth):
-        meet = alive & (a == b)
-        coalesced |= meet
-        alive &= ~meet
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        # Row 0 steps walk a, row 1 walk b; a trial ends when either regenerates.
-        rows = absorb_array(keys[idx], np.stack((a[idx], b[idx])))
-        src, copy, _ = field.draws(rows, s)
-        alive[idx[~copy.all(axis=0)]] = False
-        a[idx], b[idx] = src
-        s -= 1
-    est = float(coalesced.mean())
-    std_err = (est * (1.0 - est) / trials) ** 0.5
-    return est, std_err
+    if not (0 <= i1 < n and 0 <= i2 < n):
+        raise InputError(f"site indices {i1}, {i2} must lie in 0..{n - 1}")
+    q = (1.0 - lam) ** 2
+    p0 = q / n / (lam * (2.0 - lam) + q / n)
+    lag = abs(t1 - t2)
+    if lag == 0:
+        return p0
+    survive = exp(lag * log1p(-lam)) if lam < 1.0 else 0.0
+    return survive * (1.0 / n + (1.0 - 1.0 / n) * p0)
 
 
 def covariance_mc(env: Environment, params: ModelParams, z1: tuple[int, int],

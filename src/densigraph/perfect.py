@@ -98,15 +98,6 @@ class SiteField:
         return f.astype(np.int64), copy, xi
 
 
-def _depth_bound(max_depth: int | None, lam: float) -> int:
-    """`max_depth`, checked, or `default_max_depth(lam)` when it is None."""
-    if max_depth is None:
-        return default_max_depth(lam)
-    if max_depth < 1:
-        raise InputError(f"max_depth must be >= 1, got {max_depth}")
-    return max_depth
-
-
 def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
             times: np.ndarray) -> tuple[np.ndarray, ...]:
     """The draws at all rows of the columns ``times``, time-major, from row
@@ -166,7 +157,10 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
-    max_depth = _depth_bound(max_depth, params.lam)
+    if max_depth is None:
+        max_depth = default_max_depth(params.lam)
+    elif max_depth < 1:
+        raise InputError(f"max_depth must be >= 1, got {max_depth}")
 
     field = SiteField(seed, params)
     n, lam = env.n, field.lam

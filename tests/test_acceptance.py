@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from densigraph import (ModelParams, binomial_mixture_shat,
-                        coalescence_probability_mc, estimate_all,
+                        coalescence_probability, estimate_all,
                         exact_stationary, forward_map_values, invert_triple,
                         limit_inversion, limits, perfect_sample,
                         sample_environment, simulate,
@@ -22,7 +22,8 @@ from densigraph.model import Trajectory
 from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.rng import Stream, derive_key
 
-from _reference import (binomial_sigma, block_variance_reference,
+from _reference import (COALESCENCE_Z, binomial_sigma,
+                        block_variance_reference, coalescence_probability_mc,
                         inverse_reference, mean_reference, sample_admissible,
                         spatial_variance_reference, temporal_variance_reference)
 
@@ -147,12 +148,16 @@ def test_criterion_5_coalescence_bound():
     start = time.perf_counter()
     details = []
     ok = True
+    trials = 100_000
     for lag in (0, 1, 2, 4):
         est, se = coalescence_probability_mc(
-            params, (0, 0), (1, -lag), trials=100_000, seed=505 + lag)
+            params, (0, 0), (1, -lag), trials=trials, seed=505 + lag)
         bound = 0.5 ** max(lag, 1) / ((1 - 0.25) * 10)
-        ok = ok and est <= bound + 3 * se
-        details.append(f"lag {lag}: {est:.4f} <= {bound:.4f}+3se")
+        exact = coalescence_probability(params, (0, 0), (1, -lag))
+        sd = (exact * (1 - exact) / trials) ** 0.5
+        ok = (ok and est <= bound + 3 * se and exact <= bound
+              and abs(est - exact) <= COALESCENCE_Z * sd)
+        details.append(f"lag {lag}: {est:.4f} ~ {exact:.4f} <= {bound:.4f}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 30.0
     report(5, "coalescence bound", ok, "; ".join(details) + f" in {elapsed:.1f}s")

@@ -11,8 +11,6 @@ def run_cli(args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["oracle", "coalescence", "--trials", "0"], "trials must be >= 1, got 0"),
-    (["oracle", "coalescence", "--trials", "-3"], "trials must be >= 1, got -3"),
     (["oracle", "shat", "--b", "", "--t-len", "2", "--kappa", "0.25"],
      "--b needs comma-separated integers"),
     (["oracle", "shat", "--b", "2,x", "--t-len", "2", "--kappa", "0.25"],
@@ -26,8 +24,6 @@ def run_cli(args):
 ])
 def test_bad_counts_exit_2(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
-    if args[1] == "coalescence":
-        args = [*args, "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1"]
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -356,23 +352,21 @@ class TestOracle:
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_coalescence(self, capsys):
-        code = run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
-                        "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1",
-                        "--trials", "2000", "--seed", "1"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "estimate,std_err"
-        est, se = (float(v) for v in lines[1].split(","))
-        assert 0.0 <= est <= 1.0 and se >= 0.0
-
-    def test_coalescence_reads_only_n_and_lambda(self, capsys):
+        # The closed form at n = 10, lam = 1/2 and lag 1 is 2/31.
         assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
-                        "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1",
-                        "--trials", "2000"]) == 0
-        assert capsys.readouterr().out == (
-            "estimate,std_err\n0.067000000000000004,0.0055906618570612911\n")
+                        "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1"]) == 0
+        assert capsys.readouterr().out == "probability\n0.064516129032258063\n"
 
-    @pytest.mark.parametrize("flag", ["--p", "--r-plus", "--beta", "--mu"])
+    def test_coalescence_at_tiny_lambda(self, capsys):
+        # 1 - lam rounds to 1, so no sampler's depth bound exists here.
+        assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "1e-17",
+                        "--i1", "0", "--t1", "0", "--i2", "1", "--t2", "-1"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] == "probability"
+        assert float(lines[1]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("flag", ["--p", "--r-plus", "--beta", "--mu",
+                                      "--trials", "--seed"])
     def test_coalescence_rejects_flags_it_would_ignore(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
@@ -385,8 +379,7 @@ class TestOracle:
 
     def test_coalescence_site_out_of_range_exit_2(self, capsys):
         assert run_cli(["oracle", "coalescence", "--n", "10", "--lambda", "0.5",
-                        "--i1", "99", "--t1", "0", "--i2", "1", "--t2", "-1",
-                        "--trials", "10"]) == 2
+                        "--i1", "99", "--t1", "0", "--i2", "1", "--t2", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("oracle error: site indices 99, 1 must lie in 0..9")

@@ -1,10 +1,11 @@
+from math import exp
+
 import numpy as np
 import pytest
 
-from densigraph import (ExactDistribution, ModelParams, Partition, SiteField,
-                        binomial_mixture_shat,
-                        coalescence_probability_mc, covariance_mc,
-                        exact_stationary, solve_m, tv_distance)
+from densigraph import (ExactDistribution, ModelParams, Partition,
+                        binomial_mixture_shat, coalescence_probability,
+                        covariance_mc, exact_stationary, solve_m, tv_distance)
 from densigraph.model import Environment, InputError, sample_environment
 from densigraph.oracles import (column_indices, config_index,
                                 empirical_distribution, transition_matrix)
@@ -96,78 +97,77 @@ class TestConfigPacking:
 
 
 class TestCoalescence:
+    def test_hand_evaluated_values(self):
+        # n = 10, lam = 1/2: q = 1/4, so P0 = (1/40) / (31/40) = 1/31 and
+        # P1 = (1/2)(1/10 + (9/10)(1/31)) = 2/31.
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
+        p0 = coalescence_probability(params, (0, 0), (1, 0))
+        p1 = coalescence_probability(params, (0, 0), (1, -1))
+        assert p0 == pytest.approx(1 / 31, rel=1e-15)
+        assert p1 == pytest.approx(2 / 31, rel=1e-15)
+
+    def test_reads_only_the_lag(self):
+        params = ModelParams(mu=0.2, lam=0.3, p=0.5, r_plus=0.5, n=6)
+        p = coalescence_probability(params, (1, 4), (5, 1))
+        assert coalescence_probability(params, (5, 1), (1, 4)) == p
+        assert coalescence_probability(params, (2, -7), (2, -10)) == p
+
     def test_immediate_regeneration_never_coalesces(self):
         params = ModelParams(mu=0.2, lam=1.0, p=0.5, r_plus=0.5, n=5)
-        est, se = coalescence_probability_mc(params, (0, 0), (1, 0),
-                                             trials=2000, seed=3)
-        assert est == 0.0 and se == 0.0
+        for z2 in ((1, 0), (0, -1), (3, -6)):
+            assert coalescence_probability(params, (0, 0), z2) == 0.0
 
-    def test_bound_at_unit_lag(self):
-        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
-        est, se = coalescence_probability_mc(params, (0, 0), (1, -1),
-                                             trials=100_000, seed=5)
-        bound = 0.5 / ((1 - 0.25) * 10)
-        assert est <= bound + 3 * se
-        assert est > 0.01  # the probe actually observes coalescence
+    def test_single_site_meets_unless_it_regenerates(self):
+        params = ModelParams(mu=0.2, lam=0.4, p=0.5, r_plus=0.5, n=1)
+        for lag in (1, 2, 5):
+            p = coalescence_probability(params, (0, 0), (0, -lag))
+            assert p == pytest.approx(0.6**lag, rel=1e-14)
 
-    def test_same_time_lag_uses_unit_exponent_bound(self):
-        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
-        est, se = coalescence_probability_mc(params, (0, 0), (1, 0),
-                                             trials=100_000, seed=6)
-        bound = 0.5 ** max(0, 1) / ((1 - 0.25) * 10)
-        assert est <= bound + 3 * se
+    def test_tiny_lambda_keeps_its_digits(self):
+        # 1 - q(1 - 1/n) and 1 - lam both round to 1 here.
+        lam = 1e-17
+        # At n = 1/lam, lam(2 - lam) = 2/n against q/n = 1/n, so P0 = 1/3;
+        # a single site's walk outlives 1/lam steps with probability 1/e.
+        params = ModelParams(mu=0.0, lam=lam, p=0.5, r_plus=0.5, n=10**17)
+        p0 = coalescence_probability(params, (0, 0), (1, 0))
+        assert p0 == pytest.approx(1 / 3, rel=1e-12)
+        single = ModelParams(mu=0.0, lam=lam, p=0.5, r_plus=0.5, n=1)
+        p = coalescence_probability(single, (0, 0), (0, -10**17))
+        assert p == pytest.approx(exp(-1), rel=1e-12)
 
     def test_rejects_identical_sites(self):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
-        with pytest.raises(ValueError):
-            coalescence_probability_mc(params, (1, 2), (1, 2), trials=10, seed=0)
+        with pytest.raises(InputError, match="two distinct sites"):
+            coalescence_probability(params, (1, 2), (1, 2))
 
     @pytest.mark.parametrize("z1, z2", [((99, 0), (1, -1)), ((0, 0), (4, -1)),
                                         ((-1, 0), (1, 0))])
     def test_rejects_sites_outside_range(self, z1, z2):
         params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
         with pytest.raises(InputError, match="must lie in 0..3"):
-            coalescence_probability_mc(params, z1, z2, trials=10, seed=0)
+            coalescence_probability(params, z1, z2)
 
-    @pytest.mark.parametrize("max_depth", [0, -3])
-    def test_rejects_bad_max_depth(self, max_depth):
-        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
-        with pytest.raises(InputError, match=f"max_depth must be >= 1, got {max_depth}"):
-            coalescence_probability_mc(params, (0, 0), (1, -1), trials=10, seed=0,
-                                       max_depth=max_depth)
-
-    @pytest.mark.parametrize("z1, z2, seed, expected", [
-        # (1, 4) is born later: its walk first steps down to time 1 alone.
-        ((1, 4), (3, 1), 5, (0.059333333333333335, 0.004313269791735302)),
-        ((0, 0), (2, 0), 9, (0.09633333333333334, 0.005386811741720769)),
-    ])
-    def test_pinned_estimates(self, z1, z2, seed, expected):
-        # Exact values: any change to the site draws or the walks moves them.
-        params = ModelParams(mu=0.2, lam=0.4, p=0.5, r_plus=0.5, n=5)
-        assert coalescence_probability_mc(params, z1, z2, trials=3000,
-                                          seed=seed) == expected
-
-    def test_walk_down_stops_once_every_walk_regenerated(self, monkeypatch):
-        # At lambda = 1/2 all 100 later-born walks regenerate within a few
-        # dozen of the 20000 steps down to the common time.
-        calls = []
-        draws = SiteField.draws
-
-        def counting_draws(self, row_keys, times):
-            calls.append(times)
-            return draws(self, row_keys, times)
-
-        monkeypatch.setattr(SiteField, "draws", counting_draws)
-        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
-        assert coalescence_probability_mc(params, (0, 20000), (1, 0), trials=100,
-                                          seed=0) == (0.0, 0.0)
-        assert 0 < len(calls) < 100
-
-    def test_deterministic(self):
-        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)
-        a = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)
-        b = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)
-        assert a == b
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("lam, p", [(0.2, 0.8), (0.5, 0.5), (0.8, 0.2)])
+    def test_bounds_every_lag_covariance(self, n, lam, p):
+        # The coupling bound |Cov(X_z1, X_z2)| <= P(the walks from z1 and z2
+        # meet), exactly: Cov(X_i(t), X_j(t - k)) from powers of the
+        # transition matrix under the stationary law, for lags 0..7 and every
+        # pair of distinct sites.
+        params = ModelParams(mu=lam / 2, lam=lam, p=p, r_plus=0.5, n=n)
+        env = sample_environment(params, 3)
+        matrix = transition_matrix(env, params)
+        pi = exact_stationary(env, params).probs
+        states = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        m = pi @ states
+        later = states.astype(np.float64)  # column i: E[X_i(t + k) | X_t]
+        for lag in range(8):
+            cov = (states * pi[:, None]).T @ later - np.outer(m, m)  # [j, i]
+            bound = np.array([[coalescence_probability(params, (i, lag), (j, 0))
+                               if (i, lag) != (j, 0) else 1.0 for i in range(n)]
+                              for j in range(n)])
+            assert np.all(np.abs(cov) <= bound), lag
+            later = matrix @ later
 
 
 class TestCovariance:

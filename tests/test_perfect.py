@@ -7,14 +7,16 @@ import pytest
 from scipy import stats
 
 from densigraph import (DepthExceededError, ModelParams, SiteField,
-                        default_max_depth, exact_stationary, perfect_sample,
+                        coalescence_probability, default_max_depth,
+                        exact_stationary, perfect_sample,
                         transition_probabilities, tv_distance)
 from densigraph.model import InputError, sample_environment
 from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.perfect import _derive
 from densigraph.rng import DRAW_BUDGET, absorb_array
 
-from _reference import (backward_walk_reference, binomial_sigma, field_key,
+from _reference import (COALESCENCE_Z, backward_walk_reference, binomial_sigma,
+                        coalescence_probability_mc, field_key,
                         perfect_sample_reference, site_draw_reference)
 
 
@@ -133,6 +135,103 @@ class TestBackwardWalk:
         assert default_max_depth(1.2e-16) == ceil(log(1e-12) / log(1.0 - 1.2e-16))
         with pytest.raises(InputError, match="lam=1e-17 is too small"):
             default_max_depth(1e-17)
+
+
+class TestSharedFieldCoalescence:
+    """The Monte Carlo coalescence probe of `tests/_reference.py` walks on
+    `SiteField.draws`; its match with the closed form checks that the field
+    gives walks on one site at one time identical draws."""
+
+    @pytest.mark.parametrize("n, lam, z1, z2, trials, seed", [
+        (5, 0.2, (0, 0), (2, 0), 20_000, 11),  # lag 0
+        (10, 0.3, (4, 3), (1, 0), 20_000, 12),  # lag 3, later walk first
+        (1, 0.4, (0, 0), (0, -2), 20_000, 13),  # one site at two times
+    ])
+    def test_matches_closed_form(self, n, lam, z1, z2, trials, seed):
+        params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.5, n=n)
+        exact = coalescence_probability(params, z1, z2)
+        est, _ = coalescence_probability_mc(params, z1, z2, trials=trials, seed=seed)
+        assert abs(est - exact) <= COALESCENCE_Z * (exact * (1 - exact) / trials) ** 0.5
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(InputError, match=f"trials must be >= 1, got {trials}"):
+            coalescence_probability_mc(params, (0, 0), (1, -1), trials=trials, seed=0)
+
+    def test_immediate_regeneration_never_coalesces(self):
+        params = ModelParams(mu=0.2, lam=1.0, p=0.5, r_plus=0.5, n=5)
+        est, se = coalescence_probability_mc(params, (0, 0), (1, 0),
+                                             trials=2000, seed=3)
+        assert est == coalescence_probability(params, (0, 0), (1, 0)) == 0.0
+        assert se == 0.0
+
+    def test_bound_at_unit_lag(self):
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
+        est, se = coalescence_probability_mc(params, (0, 0), (1, -1),
+                                             trials=100_000, seed=5)
+        bound = 0.5 / ((1 - 0.25) * 10)
+        assert est <= bound + 3 * se
+        assert est > 0.01  # the probe actually observes coalescence
+
+    def test_same_time_lag_uses_unit_exponent_bound(self):
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
+        est, se = coalescence_probability_mc(params, (0, 0), (1, 0),
+                                             trials=100_000, seed=6)
+        bound = 0.5 ** max(0, 1) / ((1 - 0.25) * 10)
+        assert est <= bound + 3 * se
+
+    def test_rejects_identical_sites(self):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(ValueError):
+            coalescence_probability_mc(params, (1, 2), (1, 2), trials=10, seed=0)
+
+    @pytest.mark.parametrize("z1, z2", [((99, 0), (1, -1)), ((0, 0), (4, -1)),
+                                        ((-1, 0), (1, 0))])
+    def test_rejects_sites_outside_range(self, z1, z2):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(InputError, match="must lie in 0..3"):
+            coalescence_probability_mc(params, z1, z2, trials=10, seed=0)
+
+    @pytest.mark.parametrize("max_depth", [0, -3])
+    def test_rejects_bad_max_depth(self, max_depth):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=4)
+        with pytest.raises(InputError, match=f"max_depth must be >= 1, got {max_depth}"):
+            coalescence_probability_mc(params, (0, 0), (1, -1), trials=10, seed=0,
+                                       max_depth=max_depth)
+
+    @pytest.mark.parametrize("z1, z2, seed, expected", [
+        # (1, 4) is born later: its walk first steps down to time 1 alone.
+        ((1, 4), (3, 1), 5, (0.059333333333333335, 0.004313269791735302)),
+        ((0, 0), (2, 0), 9, (0.09633333333333334, 0.005386811741720769)),
+    ])
+    def test_pinned_estimates(self, z1, z2, seed, expected):
+        # Exact values: any change to the site draws or the walks moves them.
+        params = ModelParams(mu=0.2, lam=0.4, p=0.5, r_plus=0.5, n=5)
+        assert coalescence_probability_mc(params, z1, z2, trials=3000,
+                                          seed=seed) == expected
+
+    def test_walk_down_stops_once_every_walk_regenerated(self, monkeypatch):
+        # At lambda = 1/2 all 100 later-born walks regenerate within a few
+        # dozen of the 20000 steps down to the common time.
+        calls = []
+        draws = SiteField.draws
+
+        def counting_draws(self, row_keys, times):
+            calls.append(times)
+            return draws(self, row_keys, times)
+
+        monkeypatch.setattr(SiteField, "draws", counting_draws)
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
+        assert coalescence_probability_mc(params, (0, 20000), (1, 0), trials=100,
+                                          seed=0) == (0.0, 0.0)
+        assert 0 < len(calls) < 100
+
+    def test_deterministic(self):
+        params = ModelParams(mu=0.2, lam=0.5, p=0.5, r_plus=0.5, n=6)
+        a = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)
+        b = coalescence_probability_mc(params, (0, 0), (2, -2), trials=5000, seed=9)
+        assert a == b
 
 
 class TestPerfectSample:

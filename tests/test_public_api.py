@@ -7,13 +7,14 @@ import types
 import pytest
 
 import densigraph
-from densigraph import estimators, inversion, model, perfect
+from densigraph import estimators, inversion, model, oracles, perfect
 
 REMOVED = ["spatio_temporal_mean", "spatial_variance", "w_delta",
            "temporal_variance", "transition_probability", "site_draw", "SiteDraw",
            "backward_walk", "BackwardWalk", "forward_map", "LimitTriple",
            "admissible", "require_admissible", "draw_batch", "kappa", "root_d",
-           "phi1", "inverse_map", "select_branch", "NonInvertibleError"]
+           "phi1", "inverse_map", "select_branch", "NonInvertibleError",
+           "coalescence_probability_mc"]
 
 
 def test_all_is_an_explicit_list_of_public_objects():
@@ -36,7 +37,7 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_absent(name):
     assert name not in densigraph.__all__
-    for owner in (densigraph, estimators, inversion, model, perfect,
+    for owner in (densigraph, estimators, inversion, model, oracles, perfect,
                   model.ModelParams, perfect.SiteField):
         assert not hasattr(owner, name)
 
