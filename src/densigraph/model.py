@@ -92,16 +92,6 @@ class Partition:
         if not 0 <= self.size_plus <= self.n:
             raise ValueError(f"size_plus out of range: {self.size_plus}")
 
-    @property
-    def size_minus(self) -> int:
-        return self.n - self.size_plus
-
-    def sign_vector(self) -> np.ndarray:
-        """+1 on excitatory sites, -1 on inhibitory sites."""
-        s = np.ones(self.n)
-        s[self.size_plus:] = -1.0
-        return s
-
 
 def build_partition(n: int, r_plus: float) -> Partition:
     """Canonical prefix partition with ceil(r_plus * n) excitatory chains."""

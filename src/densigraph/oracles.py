@@ -42,12 +42,6 @@ class ExactDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def config_index(x) -> int:
-    """Little-endian packing of a binary configuration into an integer."""
-    x = np.asarray(x)
-    return int((x.astype(np.int64) << np.arange(len(x), dtype=np.int64)).sum())
-
-
 def column_indices(matrix: np.ndarray) -> np.ndarray:
     """Pack every column of a binary (n, t) matrix into configuration indices."""
     weights = (np.int64(1) << np.arange(matrix.shape[0], dtype=np.int64))

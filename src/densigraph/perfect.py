@@ -1,12 +1,14 @@
 """Exact sampling of the stationary law via backward regeneration.
 
-Each space-time site z = (i, t) reads one uniform u = uniform01(word(absorb(key,
-i), t)).  If u < lam the site regenerates (J = 0) with the value bit
-xi = [u < mu], Bernoulli(beta) given regeneration.  Otherwise
-J = 1 + floor((u - lam) n / (1 - lam)) is a uniform 1-based label, and the
-value copies site J-1 at time t-1 -- directly if the edge theta[i, J-1] is
-present and J-1 is excitatory, flipped if J-1 is inhibitory, and 0 if the
-edge is absent (the copy rule).
+Each space-time site z = (i, t) reads one hashed word, `rng.word_array` of
+the row key absorb(key, i) at counter t, and its uniform u, the top 53 bits
+of that word times 2^-53 (the scalar `word` and `uniform01` are the test
+references in `tests/_reference.py`).  If u < lam the site regenerates
+(J = 0) with the value bit xi = [u < mu], Bernoulli(beta) given
+regeneration.  Otherwise J = 1 + floor((u - lam) n / (1 - lam)) is a
+uniform 1-based label, and the value copies site J-1 at time t-1 --
+directly if the edge theta[i, J-1] is present and J-1 is excitatory,
+flipped if J-1 is inhibitory, and 0 if the edge is absent (the copy rule).
 
 Following J backward in time defines a walk that regenerates after a
 geometric(lam) number of steps, so every site's value is a function of

@@ -9,11 +9,12 @@ produce identical output.
 
 The core primitive is the splitmix64 finalizer (`mix64`), a cheap bijection
 on 64-bit words with full avalanche.  Keys are built by absorbing labels one
-at a time (`absorb`, `derive_key`); sequential draws from a key are produced
-counter-style (`word`, `Stream`).  Scalar paths use plain Python integers
-(numpy scalars warn on wraparound); batch paths use uint64 arrays, which wrap
-silently.  Both paths implement the same function and are tested against
-each other.
+at a time, in scalar form (`absorb`, `label64`, `derive_key`) on plain Python
+integers, since numpy scalars warn on wraparound.  Draws take one array path
+each, on uint64 arrays, which wrap silently: `absorb_array` for row keys,
+`word_array` for counter-indexed words and `Stream` for sequential uniforms.
+The scalar `word` and `uniform01` that these arrays are checked against are
+test references in `tests/_reference.py`.
 """
 
 from __future__ import annotations
@@ -54,13 +55,8 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized `mix64` over a uint64 array."""
-    return _mix64_inplace(np.array(x, dtype=np.uint64, copy=True))
-
-
 def _mix64_inplace(x: np.ndarray) -> np.ndarray:
-    """`mix64_array` overwriting x, a uint64 array the caller owns."""
+    """Vectorized `mix64` overwriting x, a uint64 array the caller owns."""
     x ^= x >> _S30
     x *= _UM1
     x ^= x >> _S27
@@ -107,36 +103,24 @@ def derive_key(seed: int, *parts: int | str) -> int:
     return state
 
 
-def word(key: int, counter: int) -> int:
-    """Counter-indexed 64-bit output word of a key."""
-    return mix64((key + _PHI * (counter + 1)) & MASK64)
-
-
 def word_array(keys: np.ndarray, counter) -> np.ndarray:
-    """Vectorized `word` over an array of keys.  ``counter`` is an int or an
-    integer array broadcast against the keys; negative counters wrap as in
-    `word`."""
+    """Counter-indexed 64-bit output words of an array of keys: the word of
+    key k at counter c is ``mix64((k + PHI (c + 1)) mod 2^64)``.  ``counter``
+    is an int or an integer array broadcast against the keys; negative
+    counters wrap."""
     k = np.asarray(keys, dtype=np.uint64)
     # a ufunc, unlike numpy scalar arithmetic, wraps silently
     steps = np.multiply(_as_words(counter) + _U1, _UPHI)
     return _mix64_inplace(np.asarray(k + steps))
 
 
-def uniform01(w: int) -> float:
-    """Map a 64-bit word to a uniform float in [0, 1) (53-bit resolution)."""
-    return (w >> 11) * _U01
-
-
-def uniform01_array(w: np.ndarray) -> np.ndarray:
-    return (w >> _S11) * _U01
-
-
 class Stream:
     """Sequential uniform stream over the counter axis of a key.
 
-    Draw k (1-based) is `uniform01(word(key, k-1))`; `uniforms(n)` consumes n
-    consecutive draws.  Instances are cheap and single-use by convention: one
-    stream per logical consumer, with keys derived via `derive_key`.
+    Draw k (1-based) is the top 53 bits of `word_array(key, k-1)` times
+    2^-53, a float in [0, 1); `uniforms(n)` consumes n consecutive draws.
+    Instances are cheap and single-use by convention: one stream per logical
+    consumer, with keys derived via `derive_key`.
     """
 
     __slots__ = ("key", "counter")
@@ -150,4 +134,4 @@ class Stream:
         self.counter += n
         x *= _UPHI
         x += np.uint64(self.key)
-        return uniform01_array(_mix64_inplace(x))
+        return (_mix64_inplace(x) >> _S11) * _U01

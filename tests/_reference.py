@@ -2,9 +2,11 @@
 
 Everything here is written directly from the defining formulas with plain
 Python loops, deliberately sharing no code with the package beyond the keyed
-scalar primitives of `densigraph.rng`, which fix what the draws are, and the
-forward moment map, whose images the inversion checks invert.  The site
-draws compare each site's uniform with lam and mu as floats, so they check
+scalar primitives of `densigraph.rng` (`mix64`, `absorb`, `derive_key`),
+which fix what the draws are, and the forward moment map, whose images the
+inversion checks invert.  The scalar `word` and `uniform01` below are the
+references that the rng's array draws are checked against.  The site draws
+compare each site's uniform with lam and mu as floats, so they check
 the integer cuts that `SiteField` compares in their place.  The coalescence
 probe is the exception: it walks on `SiteField.draws` itself, so its match
 with the closed form of `oracles.coalescence_probability` checks that the
@@ -18,8 +20,22 @@ import numpy as np
 from densigraph.inversion import KAPPA_DEGENERATE_TOL, forward_map_values
 from densigraph.model import InputError
 from densigraph.perfect import DepthExceededError, SiteField, default_max_depth
-from densigraph.rng import (Stream, absorb, absorb_array, derive_key, uniform01,
-                            word)
+from densigraph.rng import MASK64, Stream, absorb, absorb_array, derive_key, mix64
+
+# splitmix64 increment, 2^64 / golden ratio: the counter step of a key's words.
+PHI = 0x9E3779B97F4A7C15
+
+
+def word(key, counter):
+    """Counter-indexed 64-bit output word of a key, the scalar reference of
+    `rng.word_array`; negative counters wrap."""
+    return mix64((key + PHI * (counter + 1)) & MASK64)
+
+
+def uniform01(w):
+    """Uniform float in [0, 1) from the top 53 bits of a 64-bit word, the
+    scalar reference of `Stream.uniforms` and of the site field's uniforms."""
+    return (w >> 11) * 2.0 ** -53
 
 
 def transition_probability_loops(theta, size_plus, mu, lam, x, i):

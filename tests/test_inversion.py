@@ -377,6 +377,24 @@ class TestInvert:
         else:
             assert math.isnan(res.mu) and math.isnan(res.lam) and math.isnan(res.p)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+    @pytest.mark.parametrize("r_plus", [0.3, 0.8])
+    def test_clean_result_maps_back_to_its_triple(self, r_plus):
+        # Random triples, mostly off the image of the moment map: whatever
+        # comes back ok with no guard and no clip must be a preimage.
+        u = Stream(derive_key(22, "off-image")).uniforms(3 * 10_000)
+        off_image = []
+        for a, b, c in u.reshape(-1, 3).tolist():
+            triple = (0.01 + 0.98 * a, 0.05 * b, 0.01 + 1.49 * c)
+            res = invert_triple(*triple, r_plus)
+            if not res.ok or res.guards or res.clipped:
+                continue
+            image = forward_map_values(res.mu, res.lam, res.p, r_plus)
+            if not all(math.isclose(x, y, rel_tol=1e-9)
+                       for x, y in zip(image, triple)):
+                off_image.append(triple)
+        assert not off_image, f"{len(off_image)} clean results off the image"
+
     def test_ordering_constraint_after_clipping(self):
         stream = Stream(derive_key(8, "monotone"))
         for _ in range(500):

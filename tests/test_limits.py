@@ -70,8 +70,8 @@ class TestSolveM:
             env = Environment(theta=rng.integers(0, 2, (n, n)).astype(np.uint8),
                               partition=build_partition(n, r_plus))
             iterative = solve_m(env, params)
-            dense = solve_m_dense(env.theta, env.partition.sign_vector(),
-                                  params.mu, params.lam)
+            sign = np.where(np.arange(n) < env.partition.size_plus, 1.0, -1.0)
+            dense = solve_m_dense(env.theta, sign, params.mu, params.lam)
             reference = stationary_means_reference(
                 env.theta, env.partition.size_plus, params.mu, params.lam)
             assert np.max(np.abs(iterative - dense)) < 1e-8
@@ -107,7 +107,8 @@ class TestSolveC:
         params = ModelParams(mu=0.1, lam=0.3, p=0.5, r_plus=0.55, n=n)
         env = Environment(theta=rng.integers(0, 2, (n, n)).astype(np.uint8),
                           partition=build_partition(n, 0.55))
-        dense = solve_c_dense(env.theta, env.partition.sign_vector(), params.lam)
+        sign = np.where(np.arange(n) < env.partition.size_plus, 1.0, -1.0)
+        dense = solve_c_dense(env.theta, sign, params.lam)
         assert np.max(np.abs(solve_c(env, params) - dense)) < 1e-8
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densigraph import (Environment, InputError, ModelParams, Partition,
-                        Trajectory, build_partition, load_environment,
-                        load_trajectory, sample_environment, save_environment,
-                        save_trajectory, transition_probabilities)
+from densigraph import (Environment, InputError, ModelParams, Trajectory,
+                        build_partition, load_environment, load_trajectory,
+                        sample_environment, save_environment, save_trajectory,
+                        transition_probabilities)
 from densigraph import forward, model, perfect
 from densigraph.forward import simulate, zero_state
 from densigraph.perfect import perfect_sample
@@ -65,12 +65,8 @@ class TestPartition:
             r_plus = float(rng.uniform(0.01, 0.99))
             part = build_partition(n, r_plus)
             dev_plus = abs(part.size_plus / n - r_plus)
-            dev_minus = abs(part.size_minus / n - (1 - r_plus))
+            dev_minus = abs((n - part.size_plus) / n - (1 - r_plus))
             assert max(dev_plus, dev_minus) <= 1.0 / n + 1e-12
-
-    def test_sign_vector(self):
-        part = Partition(n=5, size_plus=2)
-        assert part.sign_vector().tolist() == [1, 1, -1, -1, -1]
 
 
 class TestSampleEnvironment:
@@ -197,7 +193,7 @@ class TestTransitionProbability:
         # r_plus = 0.9, n = 4 makes every site excitatory
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.9, n=4)
         env = make_env(np.ones((4, 4)), r_plus=0.9)
-        assert env.partition.size_minus == 0
+        assert env.partition.size_plus == 4
         x = np.zeros(4, dtype=np.uint8)
         assert transition_probabilities(env, params, x) == pytest.approx([0.2] * 4)
 

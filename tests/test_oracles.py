@@ -7,8 +7,8 @@ from densigraph import (ExactDistribution, ModelParams, Partition,
                         binomial_mixture_shat, coalescence_probability,
                         covariance_mc, exact_stationary, solve_m, tv_distance)
 from densigraph.model import Environment, InputError, sample_environment
-from densigraph.oracles import (column_indices, config_index,
-                                empirical_distribution, transition_matrix)
+from densigraph.oracles import (column_indices, empirical_distribution,
+                                transition_matrix)
 
 
 def small_env(n=3, seed=7, r_plus=2 / 3, p=0.5):
@@ -86,8 +86,6 @@ class TestTvDistance:
 
 class TestConfigPacking:
     def test_little_endian_convention(self):
-        assert config_index([1, 0, 0]) == 1
-        assert config_index([0, 1, 1]) == 6
         cols = np.array([[1, 0], [0, 1], [0, 1]], dtype=np.uint8)
         assert column_indices(cols).tolist() == [1, 6]
 

@@ -7,14 +7,15 @@ import types
 import pytest
 
 import densigraph
-from densigraph import estimators, inversion, model, oracles, perfect
+from densigraph import estimators, inversion, model, oracles, perfect, rng
 
 REMOVED = ["spatio_temporal_mean", "spatial_variance", "w_delta",
            "temporal_variance", "transition_probability", "site_draw", "SiteDraw",
            "backward_walk", "BackwardWalk", "forward_map", "LimitTriple",
            "admissible", "require_admissible", "draw_batch", "kappa", "root_d",
            "phi1", "inverse_map", "select_branch", "NonInvertibleError",
-           "coalescence_probability_mc"]
+           "coalescence_probability_mc", "mix64_array", "uniform01_array", "word",
+           "uniform01", "sign_vector", "size_minus", "config_index"]
 
 
 def test_all_is_an_explicit_list_of_public_objects():
@@ -37,8 +38,8 @@ def test_star_import_binds_exactly_all():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_absent(name):
     assert name not in densigraph.__all__
-    for owner in (densigraph, estimators, inversion, model, oracles, perfect,
-                  model.ModelParams, perfect.SiteField):
+    for owner in (densigraph, estimators, inversion, model, oracles, perfect, rng,
+                  model.ModelParams, model.Partition, perfect.SiteField):
         assert not hasattr(owner, name)
 
 

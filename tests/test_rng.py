@@ -1,14 +1,14 @@
 import numpy as np
 
-from densigraph.rng import (Stream, absorb, absorb_array, derive_key, mix64,
-                            mix64_array, uniform01, uniform01_array, word,
-                            word_array)
+from densigraph.rng import (_mix64_inplace, Stream, absorb, absorb_array,
+                            derive_key, mix64, word_array)
+from _reference import uniform01, word
 
 
 def test_mix64_matches_array_version():
     xs = [0, 1, 2**63, 2**64 - 1, 123456789, 0x9E3779B97F4A7C15]
     scalar = [mix64(x) for x in xs]
-    batch = mix64_array(np.array(xs, dtype=np.uint64))
+    batch = _mix64_inplace(np.array(xs, dtype=np.uint64))
     assert scalar == [int(v) for v in batch]
 
 
@@ -28,11 +28,9 @@ def test_absorb_array_matches_scalar_including_negative_labels():
 
 def test_word_scalar_matches_array():
     keys = np.array([derive_key(1, k) for k in range(8)], dtype=np.uint64)
-    for c in (0, 1, 5):
+    for c in (0, 1, 5, -1, -7):
         scalar = [word(int(k), c) for k in keys]
         assert scalar == [int(v) for v in word_array(keys, c)]
-        us = [uniform01(w) for w in scalar]
-        assert np.allclose(us, uniform01_array(word_array(keys, c)), atol=0)
 
 
 def test_derive_key_distinguishes_labels_and_is_stable():
