@@ -11,9 +11,8 @@ from .model import (Environment, InputError, ModelParams, Partition,
                     Trajectory, build_partition, load_environment,
                     load_trajectory, sample_environment, save_environment,
                     save_trajectory, transition_probabilities)
-from .oracles import (ExactDistribution, binomial_mixture_shat,
-                      coalescence_probability, covariance_mc,
-                      exact_stationary, tv_distance)
+from .oracles import (binomial_mixture_shat, coalescence_probability,
+                      exact_stationary)
 from .perfect import (DepthExceededError, SiteField, default_max_depth,
                       perfect_sample)
 
@@ -29,7 +28,6 @@ __all__ = [
     "build_partition", "load_environment", "load_trajectory",
     "sample_environment", "save_environment", "save_trajectory",
     "transition_probabilities",
-    "ExactDistribution", "binomial_mixture_shat", "coalescence_probability",
-    "covariance_mc", "exact_stationary", "tv_distance",
+    "binomial_mixture_shat", "coalescence_probability", "exact_stationary",
     "DepthExceededError", "SiteField", "default_max_depth", "perfect_sample",
 ]

@@ -56,11 +56,9 @@ def _cmd_run(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(csv_text)
+        sys.stdout.write(summary_to_csv(summarize(rows, config)))
     else:
         sys.stdout.write(csv_text)
-    if args.out:
-        summary = summarize(rows, config)
-        sys.stdout.write(summary_to_csv(summary))
     failures = sum(1 for r in rows if not r.inv.ok)
     return 3 if failures else 0
 
@@ -123,9 +121,8 @@ def _cmd_oracle(args) -> int:
     if args.probe == "stationary":
         env = load_environment(args.env)
         params = ModelParams(mu=args.mu, lam=args.lam, p=0.5, r_plus=0.5, n=env.n)
-        dist = exact_stationary(env, params)
         print("state,prob")
-        for k, prob in enumerate(dist.probs):
+        for k, prob in enumerate(exact_stationary(env, params)):
             print(f"{k},{prob:.17g}")
     elif args.probe == "coalescence":
         # mu, p and r_plus are placeholders: the backward walks read only n

@@ -15,7 +15,6 @@ import numpy as np
 from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
                     _check_binary)
 from .perfect import SiteField, _window, default_max_depth
-from .rng import absorb_array
 
 
 BURNIN_TAIL = 1e-6
@@ -49,8 +48,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
     _check_binary(x0, "x0")
 
     field = SiteField(seed, params)
-    keys = absorb_array(field.key, np.arange(n))
-    return _adopt(Trajectory, x=_window(field, env, keys, x0, -burnin, t_len).T)
+    return _adopt(Trajectory, x=_window(field, env, x0, -burnin, t_len).T)
 
 
 def zero_state(n: int) -> np.ndarray:

@@ -1,57 +1,25 @@
-"""Independent exact and brute-force references for validating the samplers.
+"""The exact and closed-form probes that `densigraph oracle` prints.
 
-Everything here is deliberately simple and separate from the production
-paths: exact stationary distributions by power iteration over the full
-2^n state space (n <= 12), the closed-form probability that two backward
-walks coalesce, a Monte-Carlo probe of stationary covariances, and the
-binomial-mixture moment estimator for the inverse density 1/p used as a
-sanity benchmark.
+Everything here is deliberately simple and shares no code with the samplers,
+reading only the model: exact stationary distributions by power iteration
+over the full 2^n state space (n <= 12), the closed-form probability that
+two backward walks coalesce, and the binomial-mixture moment estimator for
+the inverse density 1/p used as a sanity benchmark.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, log1p
 
 import numpy as np
 
 from .model import (Environment, InputError, ModelParams,
                     transition_probabilities)
-from .perfect import perfect_sample
-from .rng import derive_key
 
 MAX_EXACT_SITES = 12
 
 STATIONARY_TOL = 1e-13
 STATIONARY_MAX_ITER = 100_000
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """Distribution over binary configurations, little-endian indexing.
-
-    probs[k] is the probability of the configuration whose site-i bit is
-    (k >> i) & 1.  ``probs`` is a read-only float64 copy of the caller's array.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probs", probs)
-
-
-def column_indices(matrix: np.ndarray) -> np.ndarray:
-    """Pack every column of a binary (n, t) matrix into configuration indices."""
-    weights = (np.int64(1) << np.arange(matrix.shape[0], dtype=np.int64))
-    return weights @ matrix.astype(np.int64)
-
-
-def empirical_distribution(indices, n_sites: int) -> ExactDistribution:
-    """Histogram of configuration indices, normalized."""
-    counts = np.bincount(np.asarray(indices), minlength=2**n_sites)
-    return ExactDistribution(probs=counts / counts.sum())
 
 
 def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
@@ -73,8 +41,10 @@ def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
     return matrix
 
 
-def exact_stationary(env: Environment, params: ModelParams) -> ExactDistribution:
-    """Stationary law by power iteration on the full transition matrix."""
+def exact_stationary(env: Environment, params: ModelParams) -> np.ndarray:
+    """Stationary law by power iteration on the full transition matrix: a
+    fresh float64 vector whose entry k is the probability of the
+    configuration with site-i bit (k >> i) & 1."""
     matrix = transition_matrix(env, params)
     size = matrix.shape[0]
     pi = np.full(size, 1.0 / size)
@@ -83,17 +53,8 @@ def exact_stationary(env: Environment, params: ModelParams) -> ExactDistribution
         change = float(np.max(np.abs(nxt - pi)))
         pi = nxt
         if change < STATIONARY_TOL:
-            return ExactDistribution(probs=pi / pi.sum())
+            return pi / pi.sum()
     raise RuntimeError("power iteration did not converge")
-
-
-def tv_distance(p, q) -> float:
-    """Total-variation distance between two distributions on the same space."""
-    pa = p.probs if isinstance(p, ExactDistribution) else np.asarray(p, dtype=float)
-    qa = q.probs if isinstance(q, ExactDistribution) else np.asarray(q, dtype=float)
-    if pa.shape != qa.shape:
-        raise ValueError(f"length mismatch: {pa.shape} vs {qa.shape}")
-    return 0.5 * float(np.abs(pa - qa).sum())
 
 
 def coalescence_probability(params: ModelParams, z1: tuple[int, int],
@@ -121,31 +82,6 @@ def coalescence_probability(params: ModelParams, z1: tuple[int, int],
         return p0
     survive = exp(lag * log1p(-lam)) if lam < 1.0 else 0.0
     return survive * (1.0 / n + (1.0 - 1.0 / n) * p0)
-
-
-def covariance_mc(env: Environment, params: ModelParams, z1: tuple[int, int],
-                  z2: tuple[int, int], samples: int,
-                  seed: int) -> tuple[float, float]:
-    """Stationary covariance of two sites, from independent exact windows.
-    Returns the estimate and its standard error."""
-    if samples < 2:
-        raise InputError(f"samples must be >= 2, got {samples}")
-    (i1, t1), (i2, t2) = z1, z2
-    if not (0 <= i1 < env.n and 0 <= i2 < env.n):
-        raise InputError(f"site indices {i1}, {i2} must lie in 0..{env.n - 1}")
-    t_lo = min(t1, t2)
-    span = max(t1, t2) - t_lo + 1
-    x1 = np.empty(samples)
-    x2 = np.empty(samples)
-    for k in range(samples):
-        window = perfect_sample(env, params, span,
-                                seed=derive_key(seed, "covariance", k))
-        x1[k] = window.x[i1, t1 - t_lo]
-        x2[k] = window.x[i2, t2 - t_lo]
-    prod_centered = (x1 - x1.mean()) * (x2 - x2.mean())
-    est = float(prod_centered.mean())
-    std_err = float(prod_centered.std(ddof=1)) / samples**0.5
-    return est, std_err
 
 
 def binomial_mixture_shat(b, t_len: int, kappa: float) -> float:

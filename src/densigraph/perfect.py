@@ -28,7 +28,7 @@ window at times 1 .. t_len.  `perfect_sample` follows all the column-1 walks
 backward at once through the sources and copy flags alone, keeping only the
 live walks, until the last regenerates at depth D; then `_window` runs from
 zeros at time 1 - D, as `simulate` runs it from its own start.  Row keys are
-hashed once per call.
+hashed once per field, when `SiteField` is made.
 """
 
 from __future__ import annotations
@@ -66,13 +66,15 @@ class SiteField:
 
     Draws at distinct sites are computationally independent; the draw at a
     site is a pure function of (seed, i, t) so that walks launched from
-    different sites see one shared field.  `draws` reads it.
+    different sites see one shared field.  Site i's row key absorb(key, i)
+    is hashed once, into ``row_keys``; `draws` reads the field.
     """
 
-    __slots__ = ("key", "lam", "n", "scale", "lam_cut", "mu_cut")
+    __slots__ = ("key", "row_keys", "lam", "n", "scale", "lam_cut", "mu_cut")
 
     def __init__(self, seed: int, params: ModelParams):
         self.key = derive_key(seed, _FIELD_LABEL)
+        self.row_keys = absorb_array(self.key, np.arange(params.n))
         self.lam, self.n = params.lam, params.n
         # Spreads the copy branch [lam, 1) over labels 1..n; lam = 1 never copies.
         self.scale = self.n / (1.0 - self.lam) if self.lam < 1.0 else 0.0
@@ -81,12 +83,11 @@ class SiteField:
         self.lam_cut = ceil(self.lam * _TWO53)
         self.mu_cut = ceil(params.mu * _TWO53)
 
-    def draws(self, row_keys, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, copy, xi) at the sites whose row keys absorb(key, i) and
-        times t broadcast against each other: the int64 source J - 1 (0
-        where the site regenerates), the bool copy flag J > 0 and the uint8
-        value bit xi.  The key is the field's, or one per coalescence trial."""
-        return self._split(word_array(row_keys, times) >> _S11)
+    def draws(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, copy, xi) at every site i and the times t, which broadcast
+        against the n row keys: the int64 source J - 1 (0 where the site
+        regenerates), the bool copy flag J > 0 and the uint8 value bit xi."""
+        return self._split(word_array(self.row_keys, times) >> _S11)
 
     def _split(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`draws` from the top 53 bits k of the site words.  The uniforms
@@ -100,13 +101,12 @@ class SiteField:
         return f.astype(np.int64), copy, xi
 
 
-def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
+def _derive(field: SiteField, env: Environment,
             times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The draws at all rows of the columns ``times``, time-major, from row
-    keys absorb(key, i), as the copy rule reads them: the source src, the
-    edge-and-copy mask A and the gate G = (F & A) | xi with the flip
-    F = (src inhibitory)."""
-    src, copy, xi = field.draws(row_keys, times[:, None])
+    """The draws at all rows of the columns ``times``, time-major, as the
+    copy rule reads them: the source src, the edge-and-copy mask A and the
+    gate G = (F & A) | xi with the flip F = (src inhibitory)."""
+    src, copy, xi = field.draws(times[:, None])
     a = env.theta.take(src + np.arange(0, env.n * env.n, env.n))
     a &= copy.view(np.uint8)
     g = (src >= env.partition.size_plus).view(np.uint8)
@@ -115,20 +115,20 @@ def _derive(field: SiteField, env: Environment, row_keys: np.ndarray,
     return src, a, g
 
 
-def _copy_columns(field: SiteField, env: Environment, x: np.ndarray, t0: int,
-                  row_keys: np.ndarray) -> None:
+def _copy_columns(field: SiteField, env: Environment, x: np.ndarray,
+                  t0: int) -> None:
     """Fill x[1:] of the time-major array x from x[0], the state at field time
     t0, by the copy rule x[r] = (x[r-1][src] & A) ^ G with the draws at field
     time t0 + r, derived in one chunk (x has at most `DRAW_BUDGET // n` + 1
     rows): one gather and two uint8 operations a column."""
-    src, a, g = _derive(field, env, row_keys, np.arange(t0 + 1, t0 + len(x)))
+    src, a, g = _derive(field, env, np.arange(t0 + 1, t0 + len(x)))
     for prev, cur, s, a_r, g_r in zip(x, x[1:], src, a, g):
         np.bitwise_and(prev[s], a_r, out=cur)
         cur ^= g_r
 
 
-def _window(field: SiteField, env: Environment, row_keys: np.ndarray, x0,
-            t0: int, t_len: int) -> np.ndarray:
+def _window(field: SiteField, env: Environment, x0, t0: int,
+            t_len: int) -> np.ndarray:
     """The copy rule from x0, the state at field time t0 <= 0, at times 1 ..
     t_len, time-major: a view of the buffer, or a copy when its rows before
     the window outnumber it.  Steps before those rows run in place."""
@@ -138,10 +138,10 @@ def _window(field: SiteField, env: Environment, row_keys: np.ndarray, x0,
     x[0] = x0
     for t in range(t0, -lead, span):
         steps = min(span, -lead - t)
-        _copy_columns(field, env, x[:steps + 1], t, row_keys)
+        _copy_columns(field, env, x[:steps + 1], t)
         x[0] = x[steps]
     for lo in range(0, lead + t_len, span):  # row lo holds time lo - lead
-        _copy_columns(field, env, x[lo:lo + span + 1], lo - lead, row_keys)
+        _copy_columns(field, env, x[lo:lo + span + 1], lo - lead)
     return x[lead + 1:].copy() if lead + 1 > t_len else x[lead + 1:]
 
 
@@ -167,7 +167,6 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     field = SiteField(seed, params)
     n, lam = env.n, field.lam
     site = start = np.arange(n)  # each live walk's site, and the i it started from
-    row_keys = absorb_array(field.key, site)
     span = max(1, DRAW_BUDGET // n)
     # The first backward chunk is the smallest c with n (1 - lam)^c <= 1/16,
     # so at most about one call in 16 needs a second one; each later chunk
@@ -181,7 +180,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
                                      f"max_depth or check lam")
         c = min(want, span, max_depth - depth)
         times = np.arange(1 - depth, 1 - depth - c, -1)[:, None]
-        src, copy, _ = field.draws(row_keys, times)
+        src, copy, _ = field.draws(times)
         for src_r, copy_r in zip(src, copy):
             keep = copy_r[site]
             site, start = src_r[site[keep]], start[keep]
@@ -189,5 +188,5 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
             if not site.size:
                 break
         want *= 2
-    x = _window(field, env, row_keys, np.zeros(n, np.uint8), 1 - depth, t_len)
+    x = _window(field, env, np.zeros(n, np.uint8), 1 - depth, t_len)
     return _adopt(Trajectory, x=x.T)

@@ -8,9 +8,11 @@ inversion checks invert.  The scalar `word` and `uniform01` below are the
 references that the rng's array draws are checked against.  The site draws
 compare each site's uniform with lam and mu as floats, so they check
 the integer cuts that `SiteField` compares in their place.  The coalescence
-probe is the exception: it walks on `SiteField.draws` itself, so its match
-with the closed form of `oracles.coalescence_probability` checks that the
-site field implements the shared-field coupling.
+probe is the exception: it hashes one row key per trial and walk and decodes
+their words through `SiteField._split`, the decoding `SiteField.draws` runs
+on the field's own row keys, so its match with the closed form of
+`oracles.coalescence_probability` checks that the site field implements the
+shared-field coupling.
 """
 
 import math
@@ -20,7 +22,8 @@ import numpy as np
 from densigraph.inversion import KAPPA_DEGENERATE_TOL, forward_map_values
 from densigraph.model import InputError
 from densigraph.perfect import DepthExceededError, SiteField, default_max_depth
-from densigraph.rng import MASK64, Stream, absorb, absorb_array, derive_key, mix64
+from densigraph.rng import (MASK64, Stream, absorb, absorb_array, derive_key,
+                            mix64, word_array)
 
 # splitmix64 increment, 2^64 / golden ratio: the counter step of a key's words.
 PHI = 0x9E3779B97F4A7C15
@@ -142,11 +145,37 @@ def perfect_sample_reference(env, params, t_len, seed):
     return x
 
 
+
+def column_indices(matrix):
+    """Each column of a binary (n, t) matrix as its configuration index, the
+    little-endian k whose bit i is the column's site-i value."""
+    weights = np.int64(1) << np.arange(matrix.shape[0], dtype=np.int64)
+    return weights @ matrix.astype(np.int64)
+
+
+def empirical_distribution(indices, n_sites):
+    """Normalized histogram of configuration indices over all 2^n_sites."""
+    counts = np.bincount(np.asarray(indices), minlength=2**n_sites)
+    return counts / counts.sum()
+
+
+def tv_distance(p, q):
+    """Total-variation distance between two probability vectors on one space."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"length mismatch: {p.shape} vs {q.shape}")
+    return 0.5 * float(np.abs(p - q).sum())
+
 # How far, in binomial standard deviations sqrt(P (1 - P) / trials) of the
 # closed form P, the probe may stray from it: in 340 runs (20 seeds at each
 # of seven settings with n from 1 to 10, lam from 0.2 to 0.5 and lags 0 to 4,
 # and 200 seeds at n=10, lam=0.5, lag 1) it strayed at most 3.28.
 COALESCENCE_Z = 4.0
+
+
+def trial_draws(field, rows, s):
+    """`SiteField.draws` at time s of the sites whose row keys are ``rows``."""
+    return field._split(word_array(rows, s) >> 11)
 
 
 def coalescence_probability_mc(params, z1, z2, trials, seed, max_depth=None):
@@ -167,7 +196,8 @@ def coalescence_probability_mc(params, z1, z2, trials, seed, max_depth=None):
         max_depth = default_max_depth(params.lam)
     elif max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
-    field = SiteField(0, params)  # parameters only; per-trial keys replace field.key
+    # The field's cuts and spread only: each trial hashes its own row keys.
+    field = SiteField(0, params)
     keys = absorb_array(derive_key(seed, "coalescence"),
                         np.arange(trials, dtype=np.int64))
 
@@ -181,7 +211,7 @@ def coalescence_probability_mc(params, z1, z2, trials, seed, max_depth=None):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
-        src, copy, _ = field.draws(absorb_array(keys[idx], a[idx]), s)
+        src, copy, _ = trial_draws(field, absorb_array(keys[idx], a[idx]), s)
         alive[idx[~copy]] = False
         a[idx[copy]] = src[copy]
     b = np.full(trials, i2, dtype=np.int64)
@@ -196,7 +226,7 @@ def coalescence_probability_mc(params, z1, z2, trials, seed, max_depth=None):
         idx = np.flatnonzero(alive)
         # Row 0 steps walk a, row 1 walk b; a trial ends when either regenerates.
         rows = absorb_array(keys[idx], np.stack((a[idx], b[idx])))
-        src, copy, _ = field.draws(rows, s)
+        src, copy, _ = trial_draws(field, rows, s)
         alive[idx[~copy.all(axis=0)]] = False
         a[idx], b[idx] = src
         s -= 1

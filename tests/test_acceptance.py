@@ -15,17 +15,18 @@ from densigraph import (ModelParams, binomial_mixture_shat,
                         exact_stationary, forward_map_values, invert_triple,
                         limit_inversion, limits, perfect_sample,
                         sample_environment, simulate,
-                        transition_probabilities, tv_distance, zero_state)
+                        transition_probabilities, zero_state)
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 from densigraph.forward import default_burnin
 from densigraph.model import Trajectory
-from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.rng import Stream, derive_key
 
 from _reference import (COALESCENCE_Z, binomial_sigma,
                         block_variance_reference, coalescence_probability_mc,
+                        column_indices, empirical_distribution,
                         inverse_reference, mean_reference, sample_admissible,
-                        spatial_variance_reference, temporal_variance_reference)
+                        spatial_variance_reference, temporal_variance_reference,
+                        tv_distance)
 
 
 def report(num, name, ok, detail):

@@ -1,6 +1,7 @@
 import pytest
 
-from densigraph import estimate_all, load_environment, load_trajectory
+from densigraph import (ModelParams, estimate_all, exact_stationary,
+                        load_environment, load_trajectory)
 from densigraph import cli, experiment, model
 from densigraph.cli import main
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
@@ -350,6 +351,10 @@ class TestOracle:
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert len(probs) == 8
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+        env = load_environment(env_path)
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=env.n)
+        pi = exact_stationary(env, params)
+        assert lines[1:] == [f"{k},{p:.17g}" for k, p in enumerate(pi)]
 
     def test_coalescence(self, capsys):
         # The closed form at n = 10, lam = 1/2 and lag 1 is 2/31.

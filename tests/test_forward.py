@@ -9,9 +9,9 @@ from densigraph import (ModelParams, build_partition, default_burnin,
                         transition_probabilities, zero_state)
 from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment, InputError
-from densigraph.oracles import column_indices
 
-from _reference import backward_walk_reference, binomial_sigma, simulate_reference
+from _reference import (backward_walk_reference, binomial_sigma, column_indices,
+                        simulate_reference)
 
 
 def fixture_env_params():

@@ -3,12 +3,14 @@ from math import exp
 import numpy as np
 import pytest
 
-from densigraph import (ExactDistribution, ModelParams, Partition,
-                        binomial_mixture_shat, coalescence_probability,
-                        covariance_mc, exact_stationary, solve_m, tv_distance)
+from densigraph import (ModelParams, Partition, binomial_mixture_shat,
+                        coalescence_probability, exact_stationary,
+                        perfect_sample, solve_m)
 from densigraph.model import Environment, InputError, sample_environment
-from densigraph.oracles import (column_indices, empirical_distribution,
-                                transition_matrix)
+from densigraph.oracles import transition_matrix
+from densigraph.rng import derive_key
+
+from _reference import column_indices, empirical_distribution, tv_distance
 
 
 def small_env(n=3, seed=7, r_plus=2 / 3, p=0.5):
@@ -22,32 +24,33 @@ class TestExactStationary:
         env = Environment(theta=np.array([[0]], dtype=np.uint8),
                           partition=Partition(n=1, size_plus=1))
         # lam = 1 with mu = 0.2: i.i.d. Bernoulli(beta) = Bernoulli(0.2)
-        dist = exact_stationary(env, params)
-        assert dist.probs == pytest.approx([0.8, 0.2], abs=1e-12)
+        pi = exact_stationary(env, params)
+        assert pi == pytest.approx([0.8, 0.2], abs=1e-12)
 
     def test_isolated_site_fires_at_mu(self):
         params = ModelParams(mu=0.3, lam=0.6, p=0.5, r_plus=0.5, n=1)
         env = Environment(theta=np.array([[0]], dtype=np.uint8),
                           partition=Partition(n=1, size_plus=1))
-        dist = exact_stationary(env, params)
-        assert dist.probs[1] == pytest.approx(0.3, abs=1e-12)
+        pi = exact_stationary(env, params)
+        assert pi[1] == pytest.approx(0.3, abs=1e-12)
 
     def test_interaction_free_product_law(self):
         params = ModelParams(mu=0.3, lam=1.0, p=0.5, r_plus=0.5, n=3)
         env, _ = small_env(n=3)
-        dist = exact_stationary(env, params)
+        pi = exact_stationary(env, params)
         beta = params.beta
         for k in range(8):
             bits = [(k >> i) & 1 for i in range(3)]
             expected = np.prod([beta if b else 1 - beta for b in bits])
-            assert dist.probs[k] == pytest.approx(expected, abs=1e-12)
+            assert pi[k] == pytest.approx(expected, abs=1e-12)
 
     def test_fixed_point_invariance(self):
         env, params = small_env()
-        dist = exact_stationary(env, params)
-        advanced = dist.probs @ transition_matrix(env, params)
-        assert np.max(np.abs(advanced - dist.probs)) < 1e-12
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        pi = exact_stationary(env, params)
+        assert pi.dtype == np.float64 and pi.shape == (8,)
+        advanced = pi @ transition_matrix(env, params)
+        assert np.max(np.abs(advanced - pi)) < 1e-12
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_size_limit(self):
         params = ModelParams(mu=0.1, lam=0.5, p=0.5, r_plus=0.5, n=13)
@@ -56,25 +59,13 @@ class TestExactStationary:
             exact_stationary(env, params)
 
 
-class TestExactDistribution:
-    def test_probs_are_a_read_only_copy(self):
-        p = np.full(4, 0.25)
-        dist = ExactDistribution(p)
-        assert p.flags.writeable and not np.shares_memory(dist.probs, p)
-        assert not dist.probs.flags.writeable
-        p[0] = 1.0
-        assert dist.probs.tolist() == [0.25] * 4
-
-
 class TestTvDistance:
     def test_identical(self):
-        d = ExactDistribution(probs=np.array([0.25, 0.75]))
+        d = np.array([0.25, 0.75])
         assert tv_distance(d, d) == 0.0
 
     def test_disjoint_point_masses(self):
-        a = ExactDistribution(probs=np.array([1.0, 0.0]))
-        b = ExactDistribution(probs=np.array([0.0, 1.0]))
-        assert tv_distance(a, b) == 1.0
+        assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
     def test_uniform_vs_point_mass(self):
         assert tv_distance(np.array([0.5, 0.5]), np.array([1.0, 0.0])) == 0.5
@@ -90,8 +81,7 @@ class TestConfigPacking:
         assert column_indices(cols).tolist() == [1, 6]
 
     def test_empirical_distribution_normalizes(self):
-        dist = empirical_distribution([0, 0, 3, 3], 2)
-        assert dist.probs.tolist() == [0.5, 0.0, 0.0, 0.5]
+        assert empirical_distribution([0, 0, 3, 3], 2).tolist() == [0.5, 0.0, 0.0, 0.5]
 
 
 class TestCoalescence:
@@ -155,7 +145,7 @@ class TestCoalescence:
         params = ModelParams(mu=lam / 2, lam=lam, p=p, r_plus=0.5, n=n)
         env = sample_environment(params, 3)
         matrix = transition_matrix(env, params)
-        pi = exact_stationary(env, params).probs
+        pi = exact_stationary(env, params)
         states = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
         m = pi @ states
         later = states.astype(np.float64)  # column i: E[X_i(t + k) | X_t]
@@ -166,6 +156,29 @@ class TestCoalescence:
                               for j in range(n)])
             assert np.all(np.abs(cov) <= bound), lag
             later = matrix @ later
+
+
+def covariance_mc(env, params, z1, z2, samples, seed):
+    """Stationary covariance of two sites, from independent exact windows of
+    the sampler under test.  Returns the estimate and its standard error."""
+    if samples < 2:
+        raise InputError(f"samples must be >= 2, got {samples}")
+    (i1, t1), (i2, t2) = z1, z2
+    if not (0 <= i1 < env.n and 0 <= i2 < env.n):
+        raise InputError(f"site indices {i1}, {i2} must lie in 0..{env.n - 1}")
+    t_lo = min(t1, t2)
+    span = max(t1, t2) - t_lo + 1
+    x1 = np.empty(samples)
+    x2 = np.empty(samples)
+    for k in range(samples):
+        window = perfect_sample(env, params, span,
+                                seed=derive_key(seed, "covariance", k))
+        x1[k] = window.x[i1, t1 - t_lo]
+        x2[k] = window.x[i2, t2 - t_lo]
+    prod_centered = (x1 - x1.mean()) * (x2 - x2.mean())
+    est = float(prod_centered.mean())
+    std_err = float(prod_centered.std(ddof=1)) / samples**0.5
+    return est, std_err
 
 
 class TestCovariance:

@@ -9,15 +9,16 @@ from scipy import stats
 from densigraph import (DepthExceededError, ModelParams, SiteField,
                         coalescence_probability, default_max_depth,
                         exact_stationary, perfect_sample,
-                        transition_probabilities, tv_distance)
+                        transition_probabilities)
 from densigraph.model import InputError, sample_environment
-from densigraph.oracles import column_indices, empirical_distribution
 from densigraph.perfect import _derive
-from densigraph.rng import DRAW_BUDGET, absorb_array
+from densigraph.rng import DRAW_BUDGET, absorb, absorb_array
 
 from _reference import (COALESCENCE_Z, backward_walk_reference, binomial_sigma,
-                        coalescence_probability_mc, field_key,
-                        perfect_sample_reference, site_draw_reference)
+                        coalescence_probability_mc, column_indices,
+                        empirical_distribution, field_key,
+                        perfect_sample_reference, site_draw_reference,
+                        trial_draws, tv_distance)
 
 
 def small_params(n=3, lam=0.5, mu=0.25, r_plus=2 / 3, p=0.5):
@@ -64,16 +65,25 @@ class TestSiteDraw:
         keys = np.arange(50, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
         sites = np.arange(50, dtype=np.int64) % 6
         times = np.arange(50, dtype=np.int64) - 25
-        src, copy, xis = field.draws(absorb_array(keys, sites), times)
+        # The coalescence probe's decoding of its own per-trial row keys.
+        src, copy, xis = trial_draws(field, absorb_array(keys, sites), times)
         js = (src + 1) * copy  # the reference's 1-based labels, 0 on regeneration
         for k in range(50):
             assert (site_draw_reference(int(keys[k]), params, int(sites[k]),
                                         int(times[k])) == (js[k], xis[k]))
-        # One row key per site broadcasts against a scalar time.
-        src, copy, xis = field.draws(absorb_array(field.key, sites[:6]), -4)
+        # The field's n row keys broadcast against a scalar time or a column
+        # of times.
+        src, copy, xis = field.draws(-4)
         js = (src + 1) * copy
         for i in range(6):
             assert site_draw_reference(field.key, params, i, -4) == (js[i], xis[i])
+        src, copy, xis = field.draws(times[:, None])
+        js = (src + 1) * copy
+        assert js.shape == (50, 6)
+        for k in range(50):
+            for i in range(6):
+                assert (site_draw_reference(field.key, params, i, int(times[k]))
+                        == (js[k, i], xis[k, i]))
 
     @pytest.mark.parametrize("lam, mu", [(1.0, 0.0), (0.5, 1e-300),
                                          (1e-300, 1e-300), (0.7, 0.5)])
@@ -215,13 +225,13 @@ class TestSharedFieldCoalescence:
         # At lambda = 1/2 all 100 later-born walks regenerate within a few
         # dozen of the 20000 steps down to the common time.
         calls = []
-        draws = SiteField.draws
+        split = SiteField._split
 
-        def counting_draws(self, row_keys, times):
-            calls.append(times)
-            return draws(self, row_keys, times)
+        def counting_split(self, k):
+            calls.append(k.shape)
+            return split(self, k)
 
-        monkeypatch.setattr(SiteField, "draws", counting_draws)
+        monkeypatch.setattr(SiteField, "_split", counting_split)
         params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=10)
         assert coalescence_probability_mc(params, (0, 20000), (1, 0), trials=100,
                                           seed=0) == (0.0, 0.0)
@@ -446,9 +456,8 @@ class TestColumnChunks:
         env = sample_environment(params, seed=11)
         field = SiteField(12, params)
         rows, times = np.arange(self.N), np.arange(2, self.T_LEN + 1)
-        row_keys = absorb_array(field.key, rows)
-        src, a, g = _derive(field, env, row_keys, times)
-        d_src, copy, xi = field.draws(row_keys, times[:, None])
+        src, a, g = _derive(field, env, times)
+        d_src, copy, xi = field.draws(times[:, None])
         labels, xi_ref = np.array([[site_draw_reference(field.key, params, i, t)
                                     for i in rows.tolist()] for t in times.tolist()]
                                   ).transpose(2, 0, 1)

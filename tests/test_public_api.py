@@ -4,10 +4,12 @@ tests' references are not part of it."""
 
 import types
 
+import numpy as np
 import pytest
 
 import densigraph
 from densigraph import estimators, inversion, model, oracles, perfect, rng
+from densigraph.rng import absorb
 
 REMOVED = ["spatio_temporal_mean", "spatial_variance", "w_delta",
            "temporal_variance", "transition_probability", "site_draw", "SiteDraw",
@@ -15,13 +17,15 @@ REMOVED = ["spatio_temporal_mean", "spatial_variance", "w_delta",
            "admissible", "require_admissible", "draw_batch", "kappa", "root_d",
            "phi1", "inverse_map", "select_branch", "NonInvertibleError",
            "coalescence_probability_mc", "mix64_array", "uniform01_array", "word",
-           "uniform01", "sign_vector", "size_minus", "config_index"]
+           "uniform01", "sign_vector", "size_minus", "config_index",
+           "ExactDistribution", "tv_distance", "covariance_mc", "column_indices",
+           "empirical_distribution"]
 
 
 def test_all_is_an_explicit_list_of_public_objects():
     names = densigraph.__all__
     assert isinstance(names, list)
-    assert len(names) == len(set(names)) == 37
+    assert len(names) == len(set(names)) == 34
     for name in names:
         assert not name.startswith("_")
         assert not isinstance(getattr(densigraph, name), types.ModuleType), name
@@ -51,3 +55,16 @@ def test_trajectory_has_no_counts_matrix():
 def test_site_field_has_no_scalar_draw():
     assert not hasattr(perfect.SiteField, "draw")
     assert "mu" not in perfect.SiteField.__slots__
+
+
+def test_oracles_reach_no_sampler():
+    # `oracles` serves the `oracle` command from the model alone.
+    assert not hasattr(oracles, "perfect_sample")
+    assert not hasattr(oracles, "derive_key")
+
+
+def test_site_field_hashes_its_row_keys():
+    params = model.ModelParams(mu=0.1, lam=0.4, p=0.5, r_plus=0.5, n=7)
+    field = perfect.SiteField(3, params)
+    assert field.row_keys.dtype == np.uint64
+    assert field.row_keys.tolist() == [absorb(field.key, i) for i in range(7)]
