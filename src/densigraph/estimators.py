@@ -10,7 +10,8 @@ Zbar[t] = mean_i Z[i, t] (with Zbar[0] = 0):
   * temporal variance         w_hat = 2 W_{2D} - W_D, where
         W_D = n/T * sum_{k=1}^{floor(T/D)} (Zbar[kD] - Zbar[(k-1)D] - D m_hat)^2
 
-D (``delta``) is a tuning block length.  The trailing partial block of W_D is
+D (``delta``) is a tuning block length in [1, floor(T/4)], so that W_{2D} has
+a full block pair (`check_delta`).  The trailing partial block of W_D is
 discarded.  All sums are exact integers (int64, or uint16 where they cannot
 pass 2^16 - 1) before any division, so the statistics are reproducible to
 rounding error.
@@ -50,13 +51,12 @@ def _axis_counts(x: np.ndarray, axis: int) -> np.ndarray:
     return x.sum(axis=axis, dtype=np.uint16 if narrow else np.int64).astype(np.int64)
 
 
-def _check_double_delta(delta: int, t_len: int) -> None:
-    """Reject a block length whose W_{2 delta} has no full block pair."""
-    if delta < 1 or 2 * delta > t_len // 2:
-        raise InputError(
-            f"delta={delta} too large: need 2*delta <= {t_len // 2} "
-            f"for T={t_len}"
-        )
+def check_delta(delta: int, t_len: int) -> None:
+    """Reject a block length outside [1, floor(T/4)]: W_{2 delta} needs
+    2 delta <= floor(T/2), which is delta <= floor(T/4)."""
+    if not 1 <= delta <= t_len // 4:
+        raise InputError(f"delta must lie in [1, {t_len // 4}] for T={t_len}, "
+                         f"got {delta}")
 
 
 def _spatial_variance(z_final: np.ndarray, t: int) -> float:
@@ -83,13 +83,11 @@ def estimate_all(traj: Trajectory, delta: int) -> MomentEstimates:
     """All three statistics on one trajectory, sharing a block length.
 
     One reduction per axis: the per-time totals (whose cumsum serves m_hat,
-    W_delta and W_{2 delta}) and the per-site totals (v_hat).  Both block
-    lengths are checked first.
+    W_delta and W_{2 delta}) and the per-site totals (v_hat).  The block
+    length is checked first, by `check_delta`.
     """
     t_len = traj.t_len
-    if not 1 <= delta <= t_len // 2:
-        raise InputError(f"delta must lie in [1, {t_len // 2}], got {delta}")
-    _check_double_delta(delta, t_len)
+    check_delta(delta, t_len)
     n = traj.n
     totals = np.cumsum(_axis_counts(traj.x, 0))
     wd = _w_delta(totals, n, delta)

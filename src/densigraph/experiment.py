@@ -6,8 +6,11 @@ exact limits once, then draws one trajectory of length max(t_grid), evaluates
 the estimators on every prefix length in t_grid and runs the inversion.
 Rows are gathered in (varied value as listed, T, replica) order, with no sort,
 and the whole run is a pure function of the config, so output files are
-byte-reproducible.  The block length ``delta`` is one setting: an int >= 1, or
-"log" for floor(ln T) at each horizon.
+byte-reproducible.  A row holds the records its stages return (estimates,
+inversion, and the replica's limits and their inversion, or None), and a
+config is checked once, when it is built.  The block length ``delta`` is one
+setting: an int in [1, floor(T/4)] at the shortest horizon
+(`estimators.check_delta`), or "log" for floor(ln T) at each horizon.
 """
 
 from __future__ import annotations
@@ -22,10 +25,10 @@ from math import floor, log
 
 import numpy as np
 
-from .estimators import _check_double_delta, estimate_all
+from .estimators import MomentEstimates, check_delta, estimate_all
 from .forward import default_burnin, simulate, zero_state
 from .inversion import InversionResult, forward_map_values, invert
-from .limits import limit_inversion, limits
+from .limits import TheoreticalLimits, limit_inversion, limits
 from .model import InputError, ModelParams, sample_environment
 from .perfect import perfect_sample
 from .rng import derive_key
@@ -58,6 +61,8 @@ class ConfigError(InputError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep's settings, checked when built: ConfigError if invalid."""
+
     n: int
     r_plus: float
     beta: float
@@ -72,7 +77,7 @@ class ExperimentConfig:
     vary_values: tuple[float, ...]
     compute_limits: bool
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.t_grid or any(t < 4 for t in self.t_grid):
             raise ConfigError("t_grid must be a nonempty list of integers >= 4")
         if list(self.t_grid) != sorted(set(self.t_grid)):
@@ -84,10 +89,8 @@ class ExperimentConfig:
         if self.delta != "log":
             if not isinstance(self.delta, int):
                 raise ConfigError(f"unknown delta mode {self.delta!r}")
-            if self.delta < 1:
-                raise ConfigError("delta must be >= 1")
             try:  # the shortest horizon bounds an int delta
-                _check_double_delta(self.delta, self.t_grid[0])
+                check_delta(self.delta, self.t_grid[0])
             except InputError as exc:
                 raise ConfigError(str(exc)) from exc
         if self.vary_name is not None:
@@ -134,13 +137,9 @@ class ResultRow:
     value: float | None
     t: int
     replica: int
-    m_hat: float
-    v_hat: float
-    w_hat: float
+    est: MomentEstimates
     inv: InversionResult
-    m_inf: float | None = None
-    v_inf: float | None = None
-    w_inf: float | None = None
+    lim: TheoreticalLimits | None = None
     inv_inf: InversionResult | None = None
 
 
@@ -186,7 +185,6 @@ def _build_config(raw: dict) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config.validate()
     return config
 
 
@@ -233,15 +231,8 @@ def _replica_rows(config: ExperimentConfig, value_idx: int,
     rows = []
     for t_len in config.t_grid:
         est = estimate_all(traj.prefix(t_len), config.delta_for(t_len))
-        inv = invert(est, params.r_plus)
-        rows.append(ResultRow(
-            vary=config.vary_name or "", value=value, t=t_len, replica=replica,
-            m_hat=est.m_hat, v_hat=est.v_hat, w_hat=est.w_hat, inv=inv,
-            m_inf=None if lim is None else lim.m_inf,
-            v_inf=None if lim is None else lim.v_inf,
-            w_inf=None if lim is None else lim.w_inf,
-            inv_inf=inv_inf,
-        ))
+        rows.append(ResultRow(config.vary_name or "", value, t_len, replica, est,
+                              invert(est, params.r_plus), lim, inv_inf))
     return rows
 
 
@@ -252,7 +243,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
-    config.validate()
     n_values = len(config.vary_values) if config.vary_name else 1
     tasks = [(vi, r) for vi in range(n_values) for r in range(config.n_simu)]
     chunks = _run_tasks(config, tasks, jobs)
@@ -349,22 +339,22 @@ def _fmt(x: float | None) -> str:
 
 
 def row_to_csv(row: ResultRow) -> str:
-    inv = row.inv
+    est, inv, lim = row.est, row.inv, row.lim
     fields = [
         row.vary,
         _fmt(row.value),
         str(row.t),
         str(row.replica),
-        _fmt(row.m_hat), _fmt(row.v_hat), _fmt(row.w_hat),
+        _fmt(est.m_hat), _fmt(est.v_hat), _fmt(est.w_hat),
         _fmt(inv.mu), _fmt(inv.lam), _fmt(inv.p),
         inv.branch,
         "|".join(sorted(inv.guards)),
         "|".join(sorted(inv.clipped)),
     ]
-    if row.inv_inf is None:
+    if lim is None:
         fields += [""] * 6
     else:
-        fields += [_fmt(row.m_inf), _fmt(row.v_inf), _fmt(row.w_inf),
+        fields += [_fmt(lim.m_inf), _fmt(lim.v_inf), _fmt(lim.w_inf),
                    _fmt(row.inv_inf.mu), _fmt(row.inv_inf.lam), _fmt(row.inv_inf.p)]
     return ",".join(fields)
 
@@ -422,11 +412,12 @@ def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
                  tp.mu, tp.lam, tp.p)
         key = (row.vary, row.value)
         cells.setdefault(key + (row.t,), []).append(
-            _signed_errors(truth, row.m_hat, row.v_hat, row.w_hat, row.inv))
-        if row.inv_inf is not None:
+            _signed_errors(truth, row.est.m_hat, row.est.v_hat, row.est.w_hat,
+                           row.inv))
+        if row.lim is not None:
             # The mark is per replica; identical across this replica's T rows.
             marks.setdefault(key, {})[row.replica] = _signed_errors(
-                truth, row.m_inf, row.v_inf, row.w_inf, row.inv_inf)
+                truth, row.lim.m_inf, row.lim.v_inf, row.lim.w_inf, row.inv_inf)
 
     def order(item):  # by varied value, then T
         return (str(item[0][0]), item[0][1] or 0, *item[0][2:])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
                     _check_binary)
-from .perfect import SiteField, _window, default_max_depth
+from .perfect import _site_field, _window, default_max_depth
 
 
 BURNIN_TAIL = 1e-6
@@ -47,7 +47,7 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
         raise InputError(f"x0 must have length {n}, got shape {x0.shape}")
     _check_binary(x0, "x0")
 
-    field = SiteField(seed, params)
+    field = _site_field(seed, env, params)
     return _adopt(Trajectory, x=_window(field, env, x0, -burnin, t_len).T)
 
 

@@ -158,8 +158,10 @@ def interaction_kernel(env: Environment, params: ModelParams):
     ``B`` is theta with inhibitory columns negated; ``base`` absorbs mu and
     the constant inhibitory contribution.  Entries of ``B @ x`` are exact
     small integers for binary x, so the result does not depend on summation
-    order.  `transition_probabilities` and the fixed-point solves in `limits`
-    all build the signed kernel here.
+    order, nor on whether x is one state or the rows of a matrix of states.
+    `transition_probabilities`, `oracles.transition_matrix` (every state at
+    once) and the fixed-point solves in `limits` all build the signed kernel
+    here.
     """
     sp = env.partition.size_plus
     theta = env.theta.astype(np.float64)

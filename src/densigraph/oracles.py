@@ -13,8 +13,7 @@ from math import exp, log1p
 
 import numpy as np
 
-from .model import (Environment, InputError, ModelParams,
-                    transition_probabilities)
+from .model import Environment, InputError, ModelParams, interaction_kernel
 
 MAX_EXACT_SITES = 12
 
@@ -29,9 +28,8 @@ def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
         raise InputError(f"state space too large: n={n} > {MAX_EXACT_SITES}")
     size = 2**n
     states = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1)
-    fire = np.empty((size, n))
-    for k in range(size):
-        fire[k] = transition_probabilities(env, params, states[k])
+    base, signed, coef = interaction_kernel(env, params)
+    fire = base + coef * (states @ signed.T)  # row k: p(x) at state k
     matrix = np.ones((size, size))
     for i in range(n):
         bit = states[:, i]  # destination-state bit of site i

@@ -101,6 +101,14 @@ class SiteField:
         return f.astype(np.int64), copy, xi
 
 
+def _site_field(seed: int, env: Environment, params: ModelParams) -> SiteField:
+    """A sampler's site field, once ``params.n`` is checked against env.n."""
+    if params.n != env.n:
+        raise InputError(f"params.n={params.n} does not match the environment's "
+                         f"n={env.n}")
+    return SiteField(seed, params)
+
+
 def _derive(field: SiteField, env: Environment,
             times: np.ndarray) -> tuple[np.ndarray, ...]:
     """The draws at all rows of the columns ``times``, time-major, as the
@@ -164,7 +172,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     elif max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
 
-    field = SiteField(seed, params)
+    field = _site_field(seed, env, params)
     n, lam = env.n, field.lam
     site = start = np.arange(n)  # each live walk's site, and the i it started from
     span = max(1, DRAW_BUDGET // n)

@@ -172,7 +172,7 @@ def test_criterion_6_estimator_consistency(batch_run):
     for t_len in config.t_grid:
         sel = [r for r in rows if r.t == t_len]
         med[t_len] = {
-            "m": float(np.median([abs(r.m_hat - m_true) for r in sel])),
+            "m": float(np.median([abs(r.est.m_hat - m_true) for r in sel])),
             "p": float(np.median([abs(r.inv.p - truth.p) for r in sel])),
         }
     m_curve = [med[t]["m"] for t in config.t_grid]

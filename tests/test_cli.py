@@ -86,7 +86,8 @@ class TestRun:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("run error: delta=100 too large")
+        assert captured.err == ("run error: delta must lie in [1, 62] for T=250, "
+                                "got 100\n")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
@@ -314,7 +315,8 @@ class TestEstimateInvertLimits:
         run_cli(["sample", "--n", "6", "--t-len", "8", "--dump-traj", str(traj_path)])
         assert run_cli(["estimate", "--traj", str(traj_path), "--delta", "3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("estimate error: delta=3 too large")
+        assert captured.err == ("estimate error: delta must lie in [1, 2] for T=8, "
+                                "got 3\n")
 
     def test_other_errors_keep_their_traceback(self, tmp_path, monkeypatch):
         traj_path = tmp_path / "traj.csv"

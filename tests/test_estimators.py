@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from densigraph import Trajectory, estimate_all
+from densigraph.experiment import ConfigError, parse_config_text
+from densigraph.model import InputError
 
 from _reference import (block_variance_reference, mean_reference,
                         spatial_variance_reference,
@@ -122,14 +124,30 @@ class TestEstimateAll:
 
     def test_rejects_either_delta_bound_before_any_work(self):
         t = traj(np.zeros((2, 10)))
-        with pytest.raises(ValueError, match=r"delta must lie in \[1, 5\], got 0"):
+        with pytest.raises(ValueError,
+                           match=r"^delta must lie in \[1, 2\] for T=10, got 0$"):
             estimate_all(t, 0)
-        with pytest.raises(ValueError, match=r"delta must lie in \[1, 5\], got 6"):
+        with pytest.raises(ValueError,
+                           match=r"^delta must lie in \[1, 2\] for T=10, got 6$"):
             estimate_all(t, 6)  # floor(10/2) = 5 is the largest W_delta
         with pytest.raises(ValueError,
-                           match=r"delta=3 too large: need 2\*delta <= 5 for T=10"):
+                           match=r"^delta must lie in \[1, 2\] for T=10, got 3$"):
             estimate_all(t, 3)  # W_3 exists, W_6 does not
         estimate_all(t, 2)
+
+    # 2 delta <= floor(T/2) is delta <= floor(T/4), for the estimators and for
+    # the shortest horizon of an experiment config alike.
+    @pytest.mark.parametrize("t_len", [8, 9, 10, 11, 250, 2001])
+    def test_largest_delta_is_a_quarter_of_t(self, t_len):
+        top = t_len // 4
+        message = rf"^delta must lie in \[1, {top}\] for T={t_len}, got {top + 1}$"
+        t = traj(np.zeros((2, t_len)))
+        assert estimate_all(t, top).delta == top
+        with pytest.raises(InputError, match=message):
+            estimate_all(t, top + 1)
+        parse_config_text("", [f"delta={top}", f"t_grid={t_len}"])
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text("", [f"delta={top + 1}", f"t_grid={t_len}"])
 
     # Odd T, T not a multiple of 2 delta, n = 1, and the log block length.
     @pytest.mark.parametrize("n, t_len, delta", [

@@ -9,8 +9,9 @@ import pytest
 
 from densigraph import experiment
 from densigraph.cli import main
-from densigraph.experiment import (CSV_HEADER, ConfigError, ResultRow,
-                                   default_config, parse_config_text,
+from densigraph.estimators import MomentEstimates
+from densigraph.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
+                                   ResultRow, default_config, parse_config_text,
                                    row_to_csv, rows_to_csv, run_experiment,
                                    summarize, summary_to_csv)
 from densigraph.inversion import InversionResult, forward_map_values
@@ -54,7 +55,8 @@ class TestConfigParsing:
 
     def test_delta_one_and_zero(self):
         assert parse_config_text("delta = one\n").delta_for(1000) == 1
-        with pytest.raises(ConfigError, match="^delta must be >= 1$"):
+        with pytest.raises(ConfigError,
+                           match=r"^delta must lie in \[1, 62\] for T=250, got 0$"):
             parse_config_text("delta = 0\n")
 
     def test_log_delta_is_floor_ln_t_at_least_one(self):
@@ -105,10 +107,22 @@ class TestConfigParsing:
             parse_config_text("", ["vary=p", "vary_values=0.3,1.5"])  # p > 1
         # A fixed delta needs 2*delta <= floor(T/2) at the shortest horizon.
         parse_config_text("", ["delta=31", "t_grid=125,2000"])
-        with pytest.raises(ConfigError, match="delta=32 too large"):
+        with pytest.raises(ConfigError,
+                           match=r"^delta must lie in \[1, 31\] for T=125, got 32$"):
             parse_config_text("", ["delta=32", "t_grid=125,2000"])
         with pytest.raises(ConfigError):
             parse_config_text("", ["delta=63", "t_grid=250"])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_simu": 0}, "^n_simu must be >= 1$"),
+        ({"delta": 0}, r"^delta must lie in \[1, 62\] for T=250, got 0$"),
+        ({"t_grid": (500, 250)}, "^t_grid must be strictly ascending$"),
+    ], ids=["n_simu", "delta", "t_grid"])
+    def test_an_invalid_config_cannot_be_built(self, change, message):
+        # dataclasses.replace builds a new ExperimentConfig, which checks itself.
+        with pytest.raises(ConfigError, match=message):
+            replace(default_config(), **change)
+        assert not hasattr(ExperimentConfig, "validate")
 
     def test_params_for_vary(self):
         config = parse_config_text("", ["vary=lambda", "vary_values=0.4,0.8"])
@@ -169,12 +183,12 @@ class TestRunExperiment:
             "n = 6\nt_grid = 50,100\nn_simu = 2\nlimits = true\n")
         rows = run_experiment(config)
         for row in rows:
-            assert row.m_inf is not None and row.inv_inf is not None
+            assert row.lim is not None and row.inv_inf is not None
         # marks identical across horizons within one replica
         by_replica = {}
         for row in rows:
             by_replica.setdefault(row.replica, set()).add(
-                (row.m_inf, row.v_inf, row.w_inf))
+                (row.lim.m_inf, row.lim.v_inf, row.lim.w_inf))
         assert all(len(v) == 1 for v in by_replica.values())
 
     def test_vary_sweep_rows(self):
@@ -332,12 +346,16 @@ class TestRunnerFailures:
         assert_no_child_left()
 
 
+def moments(m_hat, v_hat, w_hat):
+    return MomentEstimates(m_hat=m_hat, v_hat=v_hat, w_hat=w_hat, delta=1,
+                           w_delta=0.0, w_2delta=w_hat / 2)
+
+
 def make_row(p_hat, t=100, replica=0, vary="", value=None):
     inv = InversionResult(mu=0.25, lam=0.5, p=p_hat, branch="minus",
                           guards=frozenset(), clipped=frozenset())
     return ResultRow(vary=vary, value=value, t=t, replica=replica,
-                     m_hat=0.375, v_hat=0.0166015625, w_hat=0.2490234375,
-                     inv=inv)
+                     est=moments(0.375, 0.0166015625, 0.2490234375), inv=inv)
 
 
 class TestSummarize:
@@ -387,8 +405,8 @@ class TestSummarize:
                               guards=frozenset({"non_invertible"}),
                               clipped=frozenset())
         rows = [make_row(0.6, replica=0),
-                ResultRow(vary="", value=None, t=100, replica=1, m_hat=0.375,
-                          v_hat=0.0, w_hat=0.0, inv=bad)]
+                ResultRow(vary="", value=None, t=100, replica=1,
+                          est=moments(0.375, 0.0, 0.0), inv=bad)]
         summary = summarize(rows, self.TRUTH)
         assert summary[0].err_p == np.inf or summary[0].err_p > 0.1
 
@@ -399,14 +417,16 @@ class TestSummarize:
                               branch="minus",
                               guards=frozenset({"non_invertible"}),
                               clipped=frozenset())
-        rows = [replace(make_row(p_hat, replica=k), m_hat=0.3 + 0.01 * k,
-                        w_hat=0.2 + 0.03 * k)
+        rows = [replace(make_row(p_hat, replica=k),
+                        est=moments(0.3 + 0.01 * k, 0.0166015625, 0.2 + 0.03 * k))
                 for k, p_hat in enumerate((0.6, 0.2, 0.9))]
-        rows += [replace(rows[k], replica=3 + k, v_hat=0.01 * k, inv=bad)
+        rows += [replace(rows[k], replica=3 + k,
+                         est=replace(rows[k].est, v_hat=0.01 * k), inv=bad)
                  for k in range(3)]
         tp = self.TRUTH.params_for(None)
         m, v, w = forward_map_values(tp.mu, tp.lam, tp.p, tp.r_plus)
-        errs = np.abs([(r.m_hat - m, r.v_hat - v, r.w_hat - w, r.inv.mu - tp.mu,
+        errs = np.abs([(r.est.m_hat - m, r.est.v_hat - v, r.est.w_hat - w,
+                        r.inv.mu - tp.mu,
                         r.inv.lam - tp.lam, r.inv.p - tp.p) for r in rows])
         errs[np.isnan(errs)] = np.inf
         (cell,) = summarize(rows, self.TRUTH)

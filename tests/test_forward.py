@@ -122,6 +122,25 @@ def test_x0_is_checked_by_the_shared_binary_check(x0):
         simulate(env, params, x0, 5, seed=1)
 
 
+@pytest.mark.parametrize("sampler", ["forward", "perfect"])
+@pytest.mark.parametrize("n", [4, 9])
+def test_both_samplers_reject_params_of_another_size(monkeypatch, sampler, n):
+    env = sample_environment(ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=6),
+                             seed=0)
+    params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=n)
+
+    def no_draw(*args):
+        raise AssertionError("a site was drawn")
+
+    monkeypatch.setattr(perfect.SiteField, "draws", no_draw)
+    message = f"^params.n={n} does not match the environment's n=6$"
+    with pytest.raises(InputError, match=message):
+        if sampler == "forward":
+            simulate(env, params, zero_state(6), 3, seed=1)
+        else:
+            perfect_sample(env, params, 3, seed=1)
+
+
 def _block(n):
     """Steps whose site draws `simulate` makes in one engine call."""
     return max(1, DRAW_BUDGET // n)
