@@ -5,8 +5,7 @@ from .estimators import MomentEstimates, estimate_all
 from .forward import default_burnin, simulate, zero_state
 from .inversion import (InversionResult, denominator, forward_map_values,
                         invert, invert_triple)
-from .limits import (TheoreticalLimits, limit_inversion, limits, solve_c,
-                     solve_m)
+from .limits import TheoreticalLimits, fixed_points, limit_inversion, limits
 from .model import (Environment, InputError, ModelParams, Partition,
                     Trajectory, build_partition, load_environment,
                     load_trajectory, sample_environment, save_environment,
@@ -23,7 +22,7 @@ __all__ = [
     "default_burnin", "simulate", "zero_state",
     "InversionResult", "denominator", "forward_map_values", "invert",
     "invert_triple",
-    "TheoreticalLimits", "limit_inversion", "limits", "solve_c", "solve_m",
+    "TheoreticalLimits", "fixed_points", "limit_inversion", "limits",
     "Environment", "InputError", "ModelParams", "Partition", "Trajectory",
     "build_partition", "load_environment", "load_trajectory",
     "sample_environment", "save_environment", "save_trajectory",

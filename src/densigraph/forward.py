@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
-                    _check_binary)
-from .perfect import _site_field, _window, default_max_depth
+                    _check_binary, _check_n)
+from .perfect import SiteField, _window, default_max_depth
 
 
 BURNIN_TAIL = 1e-6
@@ -47,7 +47,8 @@ def simulate(env: Environment, params: ModelParams, x0, t_len: int,
         raise InputError(f"x0 must have length {n}, got shape {x0.shape}")
     _check_binary(x0, "x0")
 
-    field = _site_field(seed, env, params)
+    _check_n(env, params)
+    field = SiteField(seed, params)
     return _adopt(Trajectory, x=_window(field, env, x0, -burnin, t_len).T)
 
 

@@ -19,19 +19,21 @@ and the relative gap shrinks about as 1/n (ROADMAP.md, open item 2).  Pushing
 the triple through the inversion pipeline gives the environment-level
 parameter estimates.
 
-Both systems are solved by fixed-point iteration (contraction factor at most
-1 - lam) on the signed kernel of `model.interaction_kernel`.
+`fixed_points` solves both systems by fixed-point iteration (contraction
+factor at most 1 - lam) on one signed kernel of `model.interaction_kernel`,
+within ten times the samplers' step bound `perfect.default_max_depth`, and
+`limits` reduces them to the triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log
 
 import numpy as np
 
 from .inversion import InversionResult, invert_triple
-from .model import Environment, InputError, ModelParams, interaction_kernel
+from .model import Environment, ModelParams, interaction_kernel
+from .perfect import default_max_depth
 
 FIXED_POINT_TOL = 1e-12
 
@@ -47,13 +49,10 @@ class TheoreticalLimits:
 
 
 def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
-    """Fixed-point iteration x <- F(x), geometric convergence for lam > 0."""
-    if lam >= 1.0:
-        return apply_map(x0)
-    if 1.0 - lam == 1.0:
-        raise InputError(f"lam={lam!r} is too small: 1 - lam rounds to 1, so the "
-                         f"iteration has no step bound")
-    max_iter = 10 * ceil(log(FIXED_POINT_TOL) / log(1.0 - lam))
+    """Fixed-point iteration x <- F(x), contracting by 1 - lam a step, within
+    ten times the samplers' step bound for tail `FIXED_POINT_TOL`.  At lam = 1
+    the map is constant, so its first step is a fixed point."""
+    max_iter = 10 * default_max_depth(lam, FIXED_POINT_TOL)
     x = x0
     for _ in range(max_iter):
         x_next = apply_map(x)
@@ -64,38 +63,21 @@ def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
     raise RuntimeError(f"fixed-point iteration did not converge in {max_iter} steps")
 
 
-def solve_m(env: Environment, params: ModelParams) -> np.ndarray:
-    """Per-site stationary firing probabilities; last step < FIXED_POINT_TOL."""
-    return _solve_m(interaction_kernel(env, params), params)
-
-
-def solve_c(env: Environment, params: ModelParams) -> np.ndarray:
-    """Resolvent column sums: c = 1 + (1-lam) A^T c; |c_i| <= 1/lam."""
-    return _solve_c(interaction_kernel(env, params), params)
-
-
-def _solve_m(kernel, params: ModelParams) -> np.ndarray:
-    base, signed, coef = kernel
-
-    def apply_map(x):
-        return base + coef * (signed @ x)
-
-    return _iterate(apply_map, np.full(len(base), params.mu), params.lam)
-
-
-def _solve_c(kernel, params: ModelParams) -> np.ndarray:
-    _, signed, coef = kernel
-
-    def apply_map(x):
-        return 1.0 + coef * (x @ signed)
-
-    return _iterate(apply_map, np.ones(len(signed)), params.lam)
+def fixed_points(env: Environment,
+                 params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(m, c): the per-site stationary firing probabilities m and the
+    resolvent column sums c = 1 + (1-lam) A^T c (|c_i| <= 1/lam), each the
+    first iterate whose step is below FIXED_POINT_TOL, on one signed kernel."""
+    base, signed, coef = interaction_kernel(env, params)
+    m_vec = _iterate(lambda x: base + coef * (signed @ x),
+                     np.full(env.n, params.mu), params.lam)
+    c_vec = _iterate(lambda x: 1.0 + coef * (x @ signed), np.ones(env.n), params.lam)
+    return m_vec, c_vec
 
 
 def limits(env: Environment, params: ModelParams) -> TheoreticalLimits:
     """(m_inf, v_inf, w_inf) for the given environment; see the module doc."""
-    kernel = interaction_kernel(env, params)   # built once for both solves
-    m_vec, c_vec = _solve_m(kernel, params), _solve_c(kernel, params)
+    m_vec, c_vec = fixed_points(env, params)
     m_inf = float(m_vec.mean())
     dev = m_vec - m_inf
     v_inf = float(dev @ dev)

@@ -152,6 +152,14 @@ def sample_environment(params: ModelParams, seed: int) -> Environment:
                   seed=seed)
 
 
+def _check_n(env: Environment, params: ModelParams) -> None:
+    """The one n rule of everything that reads (env, params): an `InputError`
+    naming both sizes unless ``params.n`` is the environment's n."""
+    if params.n != env.n:
+        raise InputError(f"params.n={params.n} does not match the environment's "
+                         f"n={env.n}")
+
+
 def interaction_kernel(env: Environment, params: ModelParams):
     """Affine form of the transition probabilities: p(x) = base + coef * (B @ x).
 
@@ -161,8 +169,9 @@ def interaction_kernel(env: Environment, params: ModelParams):
     order, nor on whether x is one state or the rows of a matrix of states.
     `transition_probabilities`, `oracles.transition_matrix` (every state at
     once) and the fixed-point solves in `limits` all build the signed kernel
-    here.
+    here, and `_check_n` first.
     """
+    _check_n(env, params)
     sp = env.partition.size_plus
     theta = env.theta.astype(np.float64)
     coef = (1.0 - params.lam) / env.n
@@ -321,10 +330,12 @@ def load_trajectory(path) -> Trajectory:
     each ending at a line end.  A block whose every row is exactly
     ``digits,digits,digit`` (fields of at most 18 digits) is parsed with
     numpy byte operations; any other block (blank lines, signs, spaces,
-    other fields) goes through `int` on each field.  Both feed one range and
-    repeat check, which sets the cells of one time-major buffer through the
-    flat index ``t * n + i``; the trajectory is its transposed view.  A
-    header whose n x t_len matrix cannot be allocated is an `InputError`.
+    other fields) goes through `int` on each field, and a row with an
+    underscore, which `int` reads as a digit group, is rejected.  Both feed
+    one range and repeat check, which sets the cells of one time-major buffer
+    through the flat index ``t * n + i``; the trajectory is its transposed
+    view.  A header whose n x t_len matrix cannot be allocated is an
+    `InputError`.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -432,6 +443,8 @@ def _decimal_values(digit: np.ndarray, start: np.ndarray,
 
 def _int_row(row: str) -> tuple[int, int, int]:
     """A row's three integer fields, or (0, 0, 0), which no range admits."""
+    if "_" in row:  # `int` would read "1_0" as 10
+        return 0, 0, 0
     try:
         t, i, value = map(int, row.split(","))
     except ValueError:

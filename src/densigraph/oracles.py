@@ -22,7 +22,8 @@ STATIONARY_MAX_ITER = 100_000
 
 
 def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
-    """Full 2^n x 2^n one-step transition matrix (n <= 12)."""
+    """Full 2^n x 2^n one-step transition matrix (n <= 12), filled in place
+    one site at a time, with no temporary of its size."""
     n = env.n
     if n > MAX_EXACT_SITES:
         raise InputError(f"state space too large: n={n} > {MAX_EXACT_SITES}")
@@ -30,12 +31,12 @@ def transition_matrix(env: Environment, params: ModelParams) -> np.ndarray:
     states = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1)
     base, signed, coef = interaction_kernel(env, params)
     fire = base + coef * (states @ signed.T)  # row k: p(x) at state k
-    matrix = np.ones((size, size))
-    for i in range(n):
-        bit = states[:, i]  # destination-state bit of site i
-        factor = np.where(bit[None, :] == 1, fire[:, i][:, None],
-                          1.0 - fire[:, i][:, None])
-        matrix *= factor
+    matrix = np.empty((size, size))
+    matrix[:, 0] = 1.0
+    for i in range(n):  # columns 0 .. 2^i - 1 hold sites 0 .. i-1
+        done, f = matrix[:, :2**i], fire[:, i:i + 1]
+        np.multiply(done, f, out=matrix[:, 2**i:2**(i + 1)])  # site i fires
+        done *= 1.0 - f  # site i stays silent
     return matrix
 
 

@@ -37,7 +37,8 @@ from math import ceil, log, log1p
 
 import numpy as np
 
-from .model import Environment, InputError, ModelParams, Trajectory, _adopt
+from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
+                    _check_n)
 from .rng import (_S11, _U01, DRAW_BUDGET, absorb_array, derive_key, label64,
                   word_array)
 
@@ -52,12 +53,13 @@ class DepthExceededError(RuntimeError):
 
 
 def default_max_depth(lam: float, tail: float = 1e-12) -> int:
-    """Depth bound with per-walk failure probability (1-lam)^depth < tail."""
+    """Depth bound with per-walk failure probability (1-lam)^depth < tail;
+    `limits` allows its fixed-point solves ten times this many steps."""
     if lam >= 1.0:
         return 1
     if 1.0 - lam == 1.0:
         raise InputError(f"lam={lam!r} is too small: 1 - lam rounds to 1, so no "
-                         f"depth bound exists")
+                         f"step bound exists")
     return ceil(log(tail) / log(1.0 - lam))
 
 
@@ -99,14 +101,6 @@ class SiteField:
         np.maximum(f, 0.0, out=f)
         np.minimum(f, self.n - 1, out=f)  # guards the u -> 1 float edge
         return f.astype(np.int64), copy, xi
-
-
-def _site_field(seed: int, env: Environment, params: ModelParams) -> SiteField:
-    """A sampler's site field, once ``params.n`` is checked against env.n."""
-    if params.n != env.n:
-        raise InputError(f"params.n={params.n} does not match the environment's "
-                         f"n={env.n}")
-    return SiteField(seed, params)
 
 
 def _derive(field: SiteField, env: Environment,
@@ -172,7 +166,8 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     elif max_depth < 1:
         raise InputError(f"max_depth must be >= 1, got {max_depth}")
 
-    field = _site_field(seed, env, params)
+    _check_n(env, params)
+    field = SiteField(seed, params)
     n, lam = env.n, field.lam
     site = start = np.arange(n)  # each live walk's site, and the i it started from
     span = max(1, DRAW_BUDGET // n)

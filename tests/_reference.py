@@ -146,6 +146,19 @@ def perfect_sample_reference(env, params, t_len, seed):
 
 
 
+def transition_matrix_reference(fire):
+    """One-step transition matrix from fire[k, i], site i's firing
+    probability at state k: one full-size factor a site, multiplied in site
+    order into a matrix of ones."""
+    size, n = fire.shape
+    bits = (np.arange(size)[:, None] >> np.arange(n)) & 1
+    matrix = np.ones((size, size))
+    for i in range(n):
+        matrix *= np.where(bits[None, :, i] == 1, fire[:, i][:, None],
+                           1.0 - fire[:, i][:, None])
+    return matrix
+
+
 def column_indices(matrix):
     """Each column of a binary (n, t) matrix as its configuration index, the
     little-endian k whose bit i is the column's site-i value."""

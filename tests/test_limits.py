@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from densigraph import (ModelParams, Partition, build_partition,
+from densigraph import (ModelParams, Partition, build_partition, fixed_points,
                         forward_map_values, invert_triple, limit_inversion,
-                        limits, sample_environment, solve_c, solve_m)
+                        limits, sample_environment)
 from densigraph.model import Environment, InputError
 
 from _reference import solve_c_dense, solve_m_dense, stationary_means_reference
@@ -35,18 +35,18 @@ class TestSolveM:
     def test_isolated_site(self):
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=1)
         env = single_site_env(0)
-        assert solve_m(env, params)[0] == pytest.approx(0.2, abs=1e-12)
+        assert fixed_points(env, params)[0][0] == pytest.approx(0.2, abs=1e-12)
 
-    @pytest.mark.parametrize("solve", [solve_m, solve_c])
-    def test_lam_too_small_for_a_step_bound_rejected(self, solve):
+    @pytest.mark.parametrize("index", [0, 1], ids=["m", "c"])
+    def test_lam_too_small_for_a_step_bound_rejected(self, index):
         params = ModelParams(mu=0.0, lam=1e-17, p=0.5, r_plus=0.5, n=1)
         with pytest.raises(InputError, match="lam=1e-17 is too small"):
-            solve(single_site_env(1), params)
+            fixed_points(single_site_env(1), params)[index]
 
     def test_self_loop_scalar_fixed_point(self):
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=1)
         env = single_site_env(1)
-        assert solve_m(env, params)[0] == pytest.approx(params.beta, abs=1e-11)
+        assert fixed_points(env, params)[0][0] == pytest.approx(params.beta, abs=1e-11)
 
     def test_residual_and_range(self):
         rng = np.random.default_rng(0)
@@ -55,7 +55,7 @@ class TestSolveM:
             params = ModelParams(mu=0.1, lam=lam, p=0.5, r_plus=0.6, n=n)
             env = Environment(theta=rng.integers(0, 2, (n, n)).astype(np.uint8),
                               partition=build_partition(n, 0.6))
-            m_vec = solve_m(env, params)
+            m_vec = fixed_points(env, params)[0]
             assert residual_m(env, params, m_vec) < 1e-10
             assert (m_vec >= 0).all() and (m_vec <= 1).all()
 
@@ -69,7 +69,7 @@ class TestSolveM:
                                  p=0.5, r_plus=r_plus, n=n)
             env = Environment(theta=rng.integers(0, 2, (n, n)).astype(np.uint8),
                               partition=build_partition(n, r_plus))
-            iterative = solve_m(env, params)
+            iterative = fixed_points(env, params)[0]
             sign = np.where(np.arange(n) < env.partition.size_plus, 1.0, -1.0)
             dense = solve_m_dense(env.theta, sign, params.mu, params.lam)
             reference = stationary_means_reference(
@@ -83,12 +83,12 @@ class TestSolveC:
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=4)
         env = Environment(theta=np.zeros((4, 4), dtype=np.uint8),
                           partition=build_partition(4, 0.5))
-        assert np.allclose(solve_c(env, params), 1.0, atol=1e-12)
+        assert np.allclose(fixed_points(env, params)[1], 1.0, atol=1e-12)
 
     def test_self_loop_scalar_fixed_point(self):
         params = ModelParams(mu=0.2, lam=0.6, p=0.5, r_plus=0.5, n=1)
         env = single_site_env(1)
-        assert solve_c(env, params)[0] == pytest.approx(1 / 0.6, abs=1e-10)
+        assert fixed_points(env, params)[1][0] == pytest.approx(1 / 0.6, abs=1e-10)
 
     def test_sup_norm_bound_and_residual(self):
         rng = np.random.default_rng(2)
@@ -97,7 +97,7 @@ class TestSolveC:
             params = ModelParams(mu=0.1, lam=lam, p=0.5, r_plus=0.4, n=n)
             env = Environment(theta=rng.integers(0, 2, (n, n)).astype(np.uint8),
                               partition=build_partition(n, 0.4))
-            c_vec = solve_c(env, params)
+            c_vec = fixed_points(env, params)[1]
             assert residual_c(env, params, c_vec) < 1e-10
             assert np.max(np.abs(c_vec)) <= 1.0 / lam + 1e-9
 
@@ -109,7 +109,7 @@ class TestSolveC:
                           partition=build_partition(n, 0.55))
         sign = np.where(np.arange(n) < env.partition.size_plus, 1.0, -1.0)
         dense = solve_c_dense(env.theta, sign, params.lam)
-        assert np.max(np.abs(solve_c(env, params) - dense)) < 1e-8
+        assert np.max(np.abs(fixed_points(env, params)[1] - dense)) < 1e-8
 
 
 class TestLimits:
@@ -179,7 +179,7 @@ class TestLimitInversion:
         for n, lam in [(1, 0.6), (20, 0.5), (25, 1.0)]:
             params = ModelParams(mu=0.2, lam=lam, p=0.5, r_plus=0.5, n=n)
             env = sample_environment(params, seed=9)
-            m_vec, c_vec = solve_m(env, params), solve_c(env, params)
+            m_vec, c_vec = fixed_points(env, params)
             lim = limits(env, params)
             assert lim.m_inf == float(m_vec.mean())
             assert lim.v_inf == float((m_vec - lim.m_inf) @ (m_vec - lim.m_inf))

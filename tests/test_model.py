@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densigraph
 from densigraph import (Environment, InputError, ModelParams, Trajectory,
                         build_partition, load_environment, load_trajectory,
                         sample_environment, save_environment, save_trajectory,
@@ -247,6 +248,20 @@ class TestTransitionProbability:
             with pytest.raises(ValueError,
                                match=rf"x must have length 3, got shape \({len(x)},\)"):
                 transition_probabilities(env, params, x)
+
+    @pytest.mark.parametrize("reader", ["limits", "transition_probabilities",
+                                        "exact_stationary"])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_kernel_readers_reject_params_of_another_size(self, reader, n):
+        # The samplers' n rule (tests/test_forward.py) holds for every reader
+        # of (env, params), through `interaction_kernel`.
+        env = sample_environment(ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5,
+                                             n=6), seed=0)
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=n)
+        x = (np.zeros(6),) if reader == "transition_probabilities" else ()
+        message = f"^params.n={n} does not match the environment's n=6$"
+        with pytest.raises(InputError, match=message):
+            getattr(densigraph, reader)(env, params, *x)
 
 
 class TestTrajectory:
@@ -505,9 +520,11 @@ class TestSerialization:
             path.read_text()))
 
     @pytest.mark.parametrize("row", ["1,1", "1,1,1,1", "a,1,1", "1,1,1.5", "1,,1",
-                                     "# note", "1,1,0.9", "1.9,2,1", "1_0,1,1"])
+                                     "# note", "1,1,0.9", "1.9,2,1", "1_0,1,1",
+                                     "1,1_0,1", "0_2,1,1", "1,0_2,1", "2,1,0_1"])
     def test_trajectory_malformed_rows_rejected(self, tmp_path, row):
-        # A float field such as "0.9" or "1.9" is rejected, never truncated.
+        # A float field such as "0.9" or "1.9" is rejected, never truncated,
+        # and an underscore is no digit group, even where "0_2" would read 2.
         path = tmp_path / "traj.csv"
         path.write_text(f"# n=2 t_len=3\nt,i,x\n1,1,1\n \t\n{row}\n2,2,1\n")
         with pytest.raises(InputError, match="line 5"):

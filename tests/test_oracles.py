@@ -1,3 +1,4 @@
+import tracemalloc
 from math import exp
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from densigraph import (ModelParams, Partition, binomial_mixture_shat,
                         coalescence_probability, exact_stationary,
-                        perfect_sample, solve_m)
+                        fixed_points, perfect_sample, transition_probabilities)
 from densigraph.model import Environment, InputError, sample_environment
 from densigraph.oracles import transition_matrix
 from densigraph.rng import derive_key
 
-from _reference import column_indices, empirical_distribution, tv_distance
+from _reference import (column_indices, empirical_distribution,
+                        transition_matrix_reference, tv_distance)
 
 
 def small_env(n=3, seed=7, r_plus=2 / 3, p=0.5):
@@ -57,6 +59,29 @@ class TestExactStationary:
         env = sample_environment(params, seed=1)
         with pytest.raises(ValueError):
             exact_stationary(env, params)
+
+
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_equals_the_per_site_factor_reference(self, n):
+        states = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        for seed in range(3):
+            env, params = small_env(n=n, seed=seed, r_plus=0.5)
+            fire = np.array([transition_probabilities(env, params, x)
+                             for x in states])
+            assert np.array_equal(transition_matrix(env, params),
+                                  transition_matrix_reference(fire))
+
+    def test_peak_memory_near_the_result(self):
+        # Built in place: a full-size temporary a site would peak near 3x.
+        env, params = small_env(n=10, r_plus=0.5)
+        tracemalloc.start()
+        try:
+            matrix = transition_matrix(env, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * matrix.nbytes
 
 
 class TestTvDistance:
@@ -184,7 +209,7 @@ def covariance_mc(env, params, z1, z2, samples, seed):
 class TestCovariance:
     def test_same_site_recovers_bernoulli_variance(self):
         env, params = small_env()
-        m_vec = solve_m(env, params)
+        m_vec = fixed_points(env, params)[0]
         est, se = covariance_mc(env, params, (1, 0), (1, 0), samples=4000, seed=2)
         truth = m_vec[1] * (1 - m_vec[1])
         assert abs(est - truth) <= 3 * se
