@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -51,6 +52,11 @@ def _cmd_run(args) -> int:
         config = load_config(args.config, args.set)
     else:
         config = default_config(args.set)
+    if args.out:  # raise any error of writing it before a replica runs
+        existed = os.path.lexists(args.out)
+        open(args.out, "a", encoding="ascii").close()  # keeps the bytes
+        if not existed:
+            os.remove(args.out)
     rows = run_experiment(config, jobs=args.jobs)
     csv_text = rows_to_csv(rows)
     if args.out:
@@ -64,10 +70,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.sampler == "perfect" and args.burnin != -1:
+    if args.sampler == "perfect" and args.burnin is not None:
         raise InputError("--burnin applies only to --sampler forward")
-    if args.sampler == "forward" and args.max_depth is not None:
-        raise InputError("--max-depth applies only to --sampler perfect")
     if args.load_env:
         env = load_environment(args.load_env)
         params = _params_from(args, env)
@@ -77,10 +81,9 @@ def _cmd_sample(args) -> int:
     if args.dump_env:
         save_environment(env, args.dump_env)
     if args.sampler == "perfect":
-        traj = perfect_sample(env, params, args.t_len, seed=args.seed,
-                              max_depth=args.max_depth)
+        traj = perfect_sample(env, params, args.t_len, seed=args.seed)
     else:
-        burnin = default_burnin(params.lam) if args.burnin == -1 else args.burnin
+        burnin = default_burnin(params.lam) if args.burnin is None else args.burnin
         traj = simulate(env, params, zero_state(env.n), args.t_len,
                         burnin=burnin, seed=args.seed)
     if args.dump_traj:
@@ -174,11 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--sampler", choices=("forward", "perfect"),
                           default="forward")
-    p_sample.add_argument("--burnin", type=int, default=-1,
-                          help="forward burn-in steps (-1 = automatic); "
+    p_sample.add_argument("--burnin", type=int,
+                          help="forward burn-in steps (default automatic); "
                                "forward sampler only")
-    p_sample.add_argument("--max-depth", type=int, default=None,
-                          help="regeneration depth bound; perfect sampler only")
     p_sample.add_argument("--dump-traj", default=None)
     p_sample.add_argument("--dump-env", default=None)
     p_sample.add_argument("--load-env", default=None)

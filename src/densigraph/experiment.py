@@ -400,8 +400,9 @@ def _signed_errors(truth, m, v, w, inv: InversionResult) -> tuple:
 
 
 def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
-    """Median absolute error per (varied value, T), plus limit-mark rows,
-    against the parameters ``config.params_for(value)`` that made each row."""
+    """Median absolute error per (varied value, T), then the limit marks per
+    value, each in the rows' order, against the parameters
+    ``config.params_for(value)`` that made each row."""
     if not rows:
         raise ValueError("no rows to summarize")
     cells: dict[tuple, list] = {}
@@ -419,13 +420,10 @@ def summarize(rows, config: ExperimentConfig) -> list[SummaryRow]:
             marks.setdefault(key, {})[row.replica] = _signed_errors(
                 truth, row.lim.m_inf, row.lim.v_inf, row.lim.w_inf, row.inv_inf)
 
-    def order(item):  # by varied value, then T
-        return (str(item[0][0]), item[0][1] or 0, *item[0][2:])
-
     out = [SummaryRow(*key, len(errs), *_median_abs(errs))
-           for key, errs in sorted(cells.items(), key=order)]
+           for key, errs in cells.items()]
     out += [SummaryRow(*key, None, len(errs), *_median_abs(list(errs.values())))
-            for key, errs in sorted(marks.items(), key=order)]
+            for key, errs in marks.items()]
     return out
 
 

@@ -334,15 +334,18 @@ def load_trajectory(path) -> Trajectory:
     underscore, which `int` reads as a digit group, is rejected.  Both feed
     one range and repeat check, which sets the cells of one time-major buffer
     through the flat index ``t * n + i``; the trajectory is its transposed
-    view.  A header whose n x t_len matrix cannot be allocated is an
-    `InputError`.
+    view.  A header that repeats a key or holds an underscore, or whose
+    n x t_len matrix cannot be allocated, is an `InputError`.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n="):
             raise InputError(f"missing dimension header in {path}")
         try:
-            parts = dict(kv.split("=") for kv in header[2:].split())
+            pairs = [kv.split("=") for kv in header[2:].split()]
+            parts = dict(pairs)
+            if len(parts) < len(pairs) or "_" in "".join(parts.values()):
+                raise ValueError  # a repeated key, or a digit group `int` reads
             n, t_len = int(parts["n"]), int(parts["t_len"])
         except (KeyError, ValueError):
             n = t_len = 0
@@ -458,7 +461,7 @@ def load_environment(path) -> Environment:
     blank lines may follow the last row."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 4:
+        if len(header) != 4 or "_" in "".join(header):  # `int` reads "1_0" as 10
             raise InputError(f"bad environment header in {path}")
         try:
             n, size_plus = int(header[0]), int(header[1])

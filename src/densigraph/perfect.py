@@ -148,11 +148,12 @@ def _window(field: SiteField, env: Environment, x0, t0: int,
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
-                   seed: int, max_depth: int | None = None) -> Trajectory:
+                   seed: int) -> Trajectory:
     """Exact stationary sample on the window sites x times {1 .. t_len}.
 
     The walk from each site (i, 1) takes d_i draws and regenerates at time
-    2 - d_i (`DepthExceededError` if one takes more than `max_depth` draws).
+    2 - d_i (`DepthExceededError` if one takes more than
+    `default_max_depth(lam)` draws, which a walk does with probability < 1e-12).
     The sources and copy flags of the columns at times 1, 0, -1, .. are drawn
     in chunks, and all n walks follow their sources through each chunk at
     once until the last one regenerates, at depth D = max d_i.  `_window`
@@ -161,10 +162,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
-    if max_depth is None:
-        max_depth = default_max_depth(params.lam)
-    elif max_depth < 1:
-        raise InputError(f"max_depth must be >= 1, got {max_depth}")
+    max_depth = default_max_depth(params.lam)
 
     _check_n(env, params)
     field = SiteField(seed, params)
@@ -179,8 +177,7 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     while site.size:  # depth columns walked so far, at times 2 - depth .. 1
         if depth == max_depth:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
-                                     f"from {(int(start[0]), 1)}; increase "
-                                     f"max_depth or check lam")
+                                     f"from {(int(start[0]), 1)}; check lam")
         c = min(want, span, max_depth - depth)
         times = np.arange(1 - depth, 1 - depth - c, -1)[:, None]
         src, copy, _ = field.draws(times)

@@ -94,7 +94,7 @@ def backward_walk_reference(seed, params, z, max_depth=None):
             return tuple(path), xi
         i, t = j - 1, t - 1
     raise DepthExceededError(f"no regeneration within {max_depth} steps from "
-                             f"{z}; increase max_depth or check lam")
+                             f"{z}; check lam")
 
 
 def _step_reference(env, params, key, x, t):

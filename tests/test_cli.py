@@ -1,8 +1,8 @@
 import pytest
 
-from densigraph import (ModelParams, estimate_all, exact_stationary,
+from densigraph import (InputError, ModelParams, estimate_all, exact_stationary,
                         load_environment, load_trajectory)
-from densigraph import cli, experiment, model
+from densigraph import cli, experiment, model, perfect
 from densigraph.cli import main
 from densigraph.experiment import parse_config_text, rows_to_csv, run_experiment
 
@@ -18,6 +18,8 @@ def run_cli(args):
      "--b needs comma-separated integers"),
     (["sample", "--n", "4", "--t-len", "3", "--burnin", "-7"],
      "burnin must be >= 0, got -7"),
+    (["sample", "--n", "4", "--t-len", "3", "--burnin", "-1"],
+     "burnin must be >= 0, got -1"),
     (["run", "--jobs", "0", "--set", "n_simu=1", "--set", "t_grid=8"],
      "jobs must be >= 1, got 0"),
     (["run", "--jobs", "-2", "--set", "n_simu=1", "--set", "t_grid=8"],
@@ -98,6 +100,29 @@ class TestRun:
                         "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("vary,value,T,replica,")
+
+    def test_unwritable_out_rejected_before_any_replica(self, tmp_path, monkeypatch,
+                                                         capsys):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda config, jobs: calls.append(config) or [])
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["run", "--set", "n_simu=100000",
+                        "--out", "missing/rows.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("run error: ") and "missing/rows.csv" in captured.err
+        assert captured.err.count("\n") == 1
+        assert calls == [] and not list(tmp_path.iterdir())
+
+        # The check leaves an existing file's bytes alone when the run fails.
+        def failing_run(config, jobs):
+            raise InputError("replica rejected its input")
+
+        (tmp_path / "rows.csv").write_text("kept\n")
+        monkeypatch.setattr(cli, "run_experiment", failing_run)
+        assert run_cli(["run", "--out", "rows.csv"]) == 2
+        assert (tmp_path / "rows.csv").read_text() == "kept\n"
 
     def test_partial_failure_exit_code(self, tmp_path):
         # beta = 0 with p = 0 produces all-silent trajectories: m_hat = 0 is
@@ -187,9 +212,6 @@ class TestSample:
 
     @pytest.mark.parametrize("args, message", [
         (["--lambda", "2"], "lam must lie in (0, 1]"),
-        (["--sampler", "perfect", "--max-depth", "-3"], "max_depth must be >= 1"),
-        (["--sampler", "perfect", "--max-depth", "1", "--lambda", "0.001"],
-         "no regeneration within 1 steps"),
         (["--load-env", "missing-env.txt"], "missing-env.txt"),
         (["--lambda", "1e-17"], "lam=1e-17 is too small"),
         (["--sampler", "perfect", "--lambda", "1e-17"], "lam=1e-17 is too small"),
@@ -197,9 +219,6 @@ class TestSample:
          "--burnin applies only to --sampler forward"),
         (["--sampler", "perfect", "--burnin", "0"],
          "--burnin applies only to --sampler forward"),
-        (["--max-depth", "1"], "--max-depth applies only to --sampler perfect"),
-        (["--sampler", "forward", "--max-depth", "50"],
-         "--max-depth applies only to --sampler perfect"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, monkeypatch, capsys, args,
                                   message):
@@ -211,14 +230,30 @@ class TestSample:
         assert captured.err.startswith("sample error: ")
         assert message in captured.err and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", [["--burnin", "5"], ["--max-depth", "9"]])
-    def test_a_flag_of_the_other_sampler_writes_no_file(self, tmp_path, flag):
-        sampler = "perfect" if flag[0] == "--burnin" else "forward"
-        code = run_cli(["sample", "--n", "6", "--t-len", "3", "--sampler", sampler,
-                        *flag, "--dump-env", str(tmp_path / "env.txt"),
+    def test_walk_past_the_depth_bound_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The bound comes from lam; a bound of 1 makes a walk outlive it.
+        monkeypatch.setattr(perfect, "default_max_depth", lambda lam: 1)
+        code = run_cli(["sample", "--n", "40", "--t-len", "3", "--sampler", "perfect",
+                        "--lambda", "0.001", "--dump-traj", str(tmp_path / "traj.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("sample error: no regeneration within 1 steps")
+        assert not list(tmp_path.iterdir())
+
+    def test_a_flag_of_the_other_sampler_writes_no_file(self, tmp_path):
+        code = run_cli(["sample", "--n", "6", "--t-len", "3", "--sampler", "perfect",
+                        "--burnin", "5", "--dump-env", str(tmp_path / "env.txt"),
                         "--dump-traj", str(tmp_path / "traj.csv")])
         assert code == 2
         assert not list(tmp_path.iterdir())
+
+    def test_max_depth_is_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["sample", "--t-len", "3", "--sampler", "perfect",
+                     "--max-depth", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-depth 5" in capsys.readouterr().err
 
 
 class TestEstimateInvertLimits:

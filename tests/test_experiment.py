@@ -210,7 +210,7 @@ class TestRunExperiment:
             for replica in range(3)]
         summary = summarize(rows, config)
         assert [(s.value, s.t) for s in summary] == [
-            (0.3, 50), (0.3, 100), (0.7, 50), (0.7, 100), (0.3, None), (0.7, None)]
+            (0.7, 50), (0.7, 100), (0.3, 50), (0.3, 100), (0.7, None), (0.3, None)]
 
     def test_csv_header_contract(self):
         assert CSV_HEADER == ("vary,value,T,replica,m_hat,v_hat,w_hat,"

@@ -531,14 +531,17 @@ class TestSerialization:
             load_trajectory(path)
 
     @pytest.mark.parametrize("header", ["t,i,x", "# n=2", "# n=2 t_len=x",
-                                        "# n=2 t_len", "# n=0 t_len=3"])
+                                        "# n=2 t_len", "# n=0 t_len=3",
+                                        "# n=0_2 t_len=3", "# n=2 t_len=0_3",
+                                        "# n=2 t_len=3 n=2"])
     def test_trajectory_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "traj.csv"
         path.write_text(f"{header}\nt,i,x\n1,1,1\n")
         with pytest.raises(InputError):
             load_trajectory(path)
 
-    @pytest.mark.parametrize("header", ["2 1 0.5", "a 1 0.5 0", "2 3 0.5 0"])
+    @pytest.mark.parametrize("header", ["2 1 0.5", "a 1 0.5 0", "2 3 0.5 0",
+                                        "0_2 1 0.5 0", "2 1 0_5 0", "2 1 0.5 1_0"])
     def test_environment_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "env.txt"
         path.write_text(f"{header}\n01\n10\n")

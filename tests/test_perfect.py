@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from functools import cache
 from math import ceil, log, log1p
@@ -10,6 +11,7 @@ from densigraph import (DepthExceededError, ModelParams, SiteField,
                         coalescence_probability, default_max_depth,
                         exact_stationary, perfect_sample,
                         transition_probabilities)
+from densigraph import perfect
 from densigraph.model import InputError, sample_environment
 from densigraph.perfect import _derive
 from densigraph.rng import DRAW_BUDGET, absorb, absorb_array
@@ -374,15 +376,19 @@ class TestPerfectSample:
         env = sample_environment(params, seed=1)
         with pytest.raises(ValueError):
             perfect_sample(env, params, 0, seed=1)
-        for max_depth in (0, -3):
-            with pytest.raises(ValueError, match="max_depth"):
-                perfect_sample(env, params, 3, seed=1, max_depth=max_depth)
 
-    def test_depth_exceeded(self):
+    def test_depth_bound_is_no_argument(self):
+        # The bound comes from lam alone (`default_max_depth`), so a caller
+        # cannot set it.
+        assert list(inspect.signature(perfect_sample).parameters) == [
+            "env", "params", "t_len", "seed"]
+
+    def test_depth_exceeded(self, monkeypatch):
         params = ModelParams(mu=0.0, lam=0.001, p=0.5, r_plus=0.5, n=50)
         env = sample_environment(params, seed=1)
-        with pytest.raises(DepthExceededError):
-            perfect_sample(env, params, 3, seed=1, max_depth=1)
+        monkeypatch.setattr(perfect, "default_max_depth", lambda lam: 1)
+        with pytest.raises(DepthExceededError, match="within 1 steps .*; check lam$"):
+            perfect_sample(env, params, 3, seed=1)
         # The bound applies to the column-1 walks only: once they all
         # regenerate at their first draw, later copying columns never walk.
         params = small_params(lam=0.9)
@@ -392,7 +398,8 @@ class TestPerfectSample:
                            for i in range(3)))
         assert any(site_draw_reference(field_key(seed), params, i, t)[0]
                    for i in range(3) for t in range(2, 40))
-        traj = perfect_sample(env, params, 40, seed=seed, max_depth=1)
+        traj = perfect_sample(env, params, 40, seed=seed)
+        monkeypatch.undo()
         assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
 
 
@@ -415,7 +422,8 @@ class TestDepthBoundary:
         (3, 0.05, "past"), (3, 0.5, "past"), (3, 0.5, "at"), (30, 0.5, "at"),
     ])
     @pytest.mark.parametrize("t_len", [1, 5])
-    def test_max_depth_is_exactly_the_deepest_walk(self, n, lam, where, t_len):
+    def test_max_depth_is_exactly_the_deepest_walk(self, monkeypatch, n, lam,
+                                                   where, t_len):
         params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=n)
         env = sample_environment(params, seed=2)
         c0 = first_chunk(n, lam)
@@ -423,13 +431,15 @@ class TestDepthBoundary:
             (s, d) for s in range(5000)
             for d in [column1_depth(s, params)]
             if (d == c0 if where == "at" else d > c0 + 1))
-        traj = perfect_sample(env, params, t_len, seed=seed, max_depth=depth)
-        assert np.array_equal(traj.x, perfect_sample(env, params, t_len, seed=seed).x)
+        want = perfect_sample(env, params, t_len, seed=seed).x
+        monkeypatch.setattr(perfect, "default_max_depth", lambda lam: depth)
+        assert np.array_equal(perfect_sample(env, params, t_len, seed=seed).x, want)
         with pytest.raises(DepthExceededError) as walk_error:
             for i in range(n):
                 backward_walk_reference(seed, params, (i, 1), max_depth=depth - 1)
+        monkeypatch.setattr(perfect, "default_max_depth", lambda lam: depth - 1)
         with pytest.raises(DepthExceededError) as error:
-            perfect_sample(env, params, t_len, seed=seed, max_depth=depth - 1)
+            perfect_sample(env, params, t_len, seed=seed)
         assert error.value.args == walk_error.value.args
 
 
