@@ -47,16 +47,20 @@ def _params_from(args, env=None) -> ModelParams:
                        n=500 if n is None else n)
 
 
-def _cmd_run(args) -> int:
-    if args.config:
-        config = load_config(args.config, args.set)
-    else:
-        config = default_config(args.set)
-    if args.out:  # raise any error of writing it before a replica runs
-        existed = os.path.lexists(args.out)
-        open(args.out, "a", encoding="ascii").close()  # keeps the bytes
+def _check_writable(*paths) -> None:
+    """Raise any error of writing a path before any work: the append keeps an
+    existing file's bytes, and a file that did not exist is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        open(path, "a", encoding="ascii").close()
         if not existed:
-            os.remove(args.out)
+            os.remove(path)
+
+
+def _cmd_run(args) -> int:
+    config = (load_config(args.config, args.set) if args.config
+              else default_config(args.set))
+    _check_writable(args.out)
     rows = run_experiment(config, jobs=args.jobs)
     csv_text = rows_to_csv(rows)
     if args.out:
@@ -65,27 +69,27 @@ def _cmd_run(args) -> int:
         sys.stdout.write(summary_to_csv(summarize(rows, config)))
     else:
         sys.stdout.write(csv_text)
-    failures = sum(1 for r in rows if not r.inv.ok)
-    return 3 if failures else 0
+    return 3 if any(not r.inv.ok for r in rows) else 0
 
 
 def _cmd_sample(args) -> int:
     if args.sampler == "perfect" and args.burnin is not None:
         raise InputError("--burnin applies only to --sampler forward")
+    _check_writable(args.dump_env, args.dump_traj)
     if args.load_env:
         env = load_environment(args.load_env)
         params = _params_from(args, env)
     else:
         params = _params_from(args)
         env = sample_environment(params, args.seed)
-    if args.dump_env:
-        save_environment(env, args.dump_env)
     if args.sampler == "perfect":
         traj = perfect_sample(env, params, args.t_len, seed=args.seed)
     else:
         burnin = default_burnin(params.lam) if args.burnin is None else args.burnin
         traj = simulate(env, params, zero_state(env.n), args.t_len,
                         burnin=burnin, seed=args.seed)
+    if args.dump_env:  # after the sampler, whose error then leaves no file
+        save_environment(env, args.dump_env)
     if args.dump_traj:
         save_trajectory(traj, args.dump_traj)
     else:

@@ -4,8 +4,8 @@
 whose one-step law is the model's transition probability, forward from
 ``x0`` placed at field time ``-burnin`` of the same site field, through the
 runner that `perfect_sample` starts from zeros.  Wherever the first column's
-backward walks regenerate within the burn-in, the recorded window is
-`perfect_sample`'s exact stationary window bit for bit.
+backward walks regenerate within the burn-in (the default is the exact
+sampler's depth bound), the window is `perfect_sample`'s, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from .model import (Environment, InputError, ModelParams, Trajectory, _adopt,
 from .perfect import SiteField, _window, default_max_depth
 
 
-BURNIN_TAIL = 1e-6
-
-
 def default_burnin(lam: float) -> int:
-    """Steps after which the regeneration tail (1-lam)^k drops below
-    `BURNIN_TAIL`: the depth bound of a backward walk, or 0 when every site
-    regenerates."""
-    return 0 if lam >= 1.0 else default_max_depth(lam, BURNIN_TAIL)
+    """The exact sampler's depth bound, or 0 when every site regenerates."""
+    return 0 if lam >= 1.0 else default_max_depth(lam)
 
 
 def simulate(env: Environment, params: ModelParams, x0, t_len: int,

@@ -21,8 +21,8 @@ parameter estimates.
 
 `fixed_points` solves both systems by fixed-point iteration (contraction
 factor at most 1 - lam) on one signed kernel of `model.interaction_kernel`,
-within ten times the samplers' step bound `perfect.default_max_depth`, and
-`limits` reduces them to the triple.
+within ten times the samplers' step bound `perfect.default_max_depth(lam)`,
+and `limits` reduces them to the triple.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ class TheoreticalLimits:
 
 def _iterate(apply_map, x0: np.ndarray, lam: float) -> np.ndarray:
     """Fixed-point iteration x <- F(x), contracting by 1 - lam a step, within
-    ten times the samplers' step bound for tail `FIXED_POINT_TOL`.  At lam = 1
+    ten times the samplers' step bound `default_max_depth(lam)`.  At lam = 1
     the map is constant, so its first step is a fixed point."""
-    max_iter = 10 * default_max_depth(lam, FIXED_POINT_TOL)
+    max_iter = 10 * default_max_depth(lam)
     x = x0
     for _ in range(max_iter):
         x_next = apply_map(x)

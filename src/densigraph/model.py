@@ -334,8 +334,8 @@ def load_trajectory(path) -> Trajectory:
     underscore, which `int` reads as a digit group, is rejected.  Both feed
     one range and repeat check, which sets the cells of one time-major buffer
     through the flat index ``t * n + i``; the trajectory is its transposed
-    view.  A header that repeats a key or holds an underscore, or whose
-    n x t_len matrix cannot be allocated, is an `InputError`.
+    view.  A header that repeats a key, whose n or t_len is not plain
+    digits, or whose n x t_len matrix cannot be allocated, is an `InputError`.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -344,8 +344,8 @@ def load_trajectory(path) -> Trajectory:
         try:
             pairs = [kv.split("=") for kv in header[2:].split()]
             parts = dict(pairs)
-            if len(parts) < len(pairs) or "_" in "".join(parts.values()):
-                raise ValueError  # a repeated key, or a digit group `int` reads
+            if len(parts) < len(pairs) or not (parts["n"] + parts["t_len"]).isdigit():
+                raise ValueError  # a repeated key, or a sign or `_` that `int` reads
             n, t_len = int(parts["n"]), int(parts["t_len"])
         except (KeyError, ValueError):
             n = t_len = 0
@@ -460,12 +460,11 @@ def load_environment(path) -> Environment:
     n rows of n 0/1 characters, each with any surrounding whitespace; only
     blank lines may follow the last row."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or "_" in "".join(header):  # `int` reads "1_0" as 10
-            raise InputError(f"bad environment header in {path}")
         try:
-            n, size_plus = int(header[0]), int(header[1])
-            p, seed = float(header[2]), int(header[3])
+            n, size_plus, p, seed = fh.readline().split()  # else a ValueError
+            if not (n + size_plus).isdigit() or "_" in p + seed:
+                raise ValueError  # `int` would read "+2" as 2 and "1_0" as 10
+            n, size_plus, p, seed = int(n), int(size_plus), float(p), int(seed)
             partition = Partition(n, size_plus)
         except ValueError:
             raise InputError(f"bad environment header in {path}") from None

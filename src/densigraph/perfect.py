@@ -52,15 +52,15 @@ class DepthExceededError(RuntimeError):
     """A backward walk failed to regenerate within the depth bound."""
 
 
-def default_max_depth(lam: float, tail: float = 1e-12) -> int:
-    """Depth bound with per-walk failure probability (1-lam)^depth < tail;
-    `limits` allows its fixed-point solves ten times this many steps."""
+def default_max_depth(lam: float) -> int:
+    """Both samplers' depth bound, with per-walk failure probability
+    (1-lam)^depth < 1e-12; `limits` allows its solves ten times as many steps."""
     if lam >= 1.0:
         return 1
     if 1.0 - lam == 1.0:
         raise InputError(f"lam={lam!r} is too small: 1 - lam rounds to 1, so no "
                          f"step bound exists")
-    return ceil(log(tail) / log(1.0 - lam))
+    return ceil(log(1e-12) / log(1.0 - lam))
 
 
 class SiteField:

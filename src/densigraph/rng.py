@@ -11,8 +11,8 @@ The core primitive is the splitmix64 finalizer (`mix64`), a cheap bijection
 on 64-bit words with full avalanche.  Keys are built by absorbing labels one
 at a time, in scalar form (`absorb`, `label64`, `derive_key`) on plain Python
 integers, since numpy scalars warn on wraparound.  Draws take one array path
-each, on uint64 arrays, which wrap silently: `absorb_array` for row keys,
-`word_array` for counter-indexed words and `Stream` for sequential uniforms.
+each, on uint64 arrays, which wrap silently: `absorb_array` for row keys and
+`word_array` for counter-indexed words, which `Stream` reads as uniforms.
 The scalar `word` and `uniform01` that these arrays are checked against are
 test references in `tests/_reference.py`.
 """
@@ -109,9 +109,11 @@ def word_array(keys: np.ndarray, counter) -> np.ndarray:
     is an int or an integer array broadcast against the keys; negative
     counters wrap."""
     k = np.asarray(keys, dtype=np.uint64)
-    # a ufunc, unlike numpy scalar arithmetic, wraps silently
-    steps = np.multiply(_as_words(counter) + _U1, _UPHI)
-    return _mix64_inplace(np.asarray(k + steps))
+    # in place on a fresh array, which, unlike a numpy scalar, wraps silently
+    x = np.asarray(_as_words(counter) + _U1)
+    x *= _UPHI
+    x = np.asarray(k + x)  # rebound, so the steps are freed before the mix
+    return _mix64_inplace(x)
 
 
 class Stream:
@@ -130,8 +132,7 @@ class Stream:
         self.counter = 0
 
     def uniforms(self, n: int) -> np.ndarray:
-        x = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        x *= _UPHI
-        x += np.uint64(self.key)
-        return (_mix64_inplace(x) >> _S11) * _U01
+        k = word_array(self.key, np.arange(self.counter - n, self.counter))
+        k >>= _S11
+        return k * _U01

@@ -241,6 +241,30 @@ class TestSample:
         assert captured.err.startswith("sample error: no regeneration within 1 steps")
         assert not list(tmp_path.iterdir())
 
+    def test_unwritable_dump_rejected_before_any_draw(self, tmp_path, monkeypatch,
+                                                      capsys):
+        calls = []
+        monkeypatch.setattr(cli, "sample_environment",
+                            lambda *args: calls.append(args))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["sample", "--n", "200", "--t-len", "100",
+                        "--dump-env", "env.txt", "--dump-traj", "missing/t.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sample error: ") and "missing/t.csv" in captured.err
+        assert captured.err.count("\n") == 1
+        assert calls == [] and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("sampler", ["forward", "perfect"])
+    def test_a_sampler_error_leaves_no_dump(self, tmp_path, capsys, sampler):
+        # The environment is drawn, but lam = 1e-17 has no step bound.
+        code = run_cli(["sample", "--n", "6", "--t-len", "3", "--lambda", "1e-17",
+                        "--sampler", sampler, "--dump-env", str(tmp_path / "env.txt"),
+                        "--dump-traj", str(tmp_path / "traj.csv")])
+        assert code == 2
+        assert "lam=1e-17 is too small" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_a_flag_of_the_other_sampler_writes_no_file(self, tmp_path):
         code = run_cli(["sample", "--n", "6", "--t-len", "3", "--sampler", "perfect",
                         "--burnin", "5", "--dump-env", str(tmp_path / "env.txt"),

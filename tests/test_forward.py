@@ -1,3 +1,4 @@
+import inspect
 from math import ceil
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from densigraph import perfect
 from densigraph import (ModelParams, build_partition, default_burnin,
-                        perfect_sample, sample_environment, simulate,
-                        transition_probabilities, zero_state)
+                        default_max_depth, perfect_sample, sample_environment,
+                        simulate, transition_probabilities, zero_state)
 from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment, InputError
 
@@ -93,9 +94,30 @@ def test_one_step_conditionals_match_kernel():
 
 
 def test_default_burnin_values():
-    assert default_burnin(0.5) == 20
-    assert default_burnin(0.9) == 6
+    assert default_burnin(0.5) == 40
+    assert default_burnin(0.9) == 12
     assert default_burnin(1.0) == 0
+
+
+@pytest.mark.parametrize("lam", [1e-9, 0.01, 0.2, 0.5, 0.9, 1 - 1e-12])
+def test_default_burnin_is_the_depth_bound(lam):
+    assert default_burnin(lam) == default_max_depth(lam)
+
+
+def test_default_max_depth_takes_lam_alone():
+    assert list(inspect.signature(default_max_depth).parameters) == ["lam"]
+
+
+def test_default_burnin_gives_the_exact_window_where_the_old_one_missed():
+    # At p = 1 every copy keeps or flips its source.  Sampler seed 4164 has a
+    # first-column walk deeper than a 1e-6 tail's 20 steps at lam = 0.5, so
+    # that shorter burn-in gave another window from zeros; the depth bound
+    # that `perfect_sample` itself uses gives its window.
+    params = ModelParams(mu=0.25, lam=0.5, p=1.0, r_plus=0.5, n=1000)
+    env = sample_environment(params, 1)
+    forward = simulate(env, params, zero_state(1000), 50,
+                       burnin=default_burnin(0.5), seed=4164)
+    assert np.array_equal(forward.x, perfect_sample(env, params, 50, seed=4164).x)
 
 
 def test_input_validation():
@@ -201,7 +223,7 @@ def test_start_carries_across_burnin_blocks(burnin, t_len):
 
 
 def test_burnin_advances_a_block_per_engine_call(monkeypatch):
-    # The default burn-in at lam = 0.01 is 1,375 steps.  At n = 500 it must
+    # The default burn-in at lam = 0.01 is 2,750 steps.  At n = 500 it must
     # advance a 65-step block per engine call, not t_len steps per call.
     n, lam, t_len = 500, 0.01, 1
     params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
@@ -211,7 +233,7 @@ def test_burnin_advances_a_block_per_engine_call(monkeypatch):
     monkeypatch.setattr(perfect, "_derive",
                         lambda *args: calls.append(args) or derive(*args))
     simulate(env, params, zero_state(n), t_len, burnin=burnin, seed=0)
-    assert len(calls) <= ceil((burnin + t_len) / _block(n)) + 1 == 23
+    assert len(calls) <= ceil((burnin + t_len) / _block(n)) + 1 == 44
 
 
 @pytest.mark.parametrize("n, mu, lam, t_len, burnin", [

@@ -4,9 +4,10 @@ A refactor that keeps these digests keeps the output bit for bit, which is
 stronger than rerun identity (acceptance criterion 11).  A change that moves
 them on purpose must re-pin them and say why.
 
-Both samplers read one site field, and the forward burn-in covers every
-first-column backward walk of the pinned forward batch, so that batch run with
-``sampler=perfect`` gives the same bytes (grand coupling).
+Both samplers read one site field, and the default forward burn-in is the
+exact sampler's own depth bound, so it covers every first-column backward
+walk of any batch that ``sampler=perfect`` completes: the pinned forward batch
+run with ``sampler=perfect`` gives the same bytes (grand coupling).
 """
 
 import hashlib

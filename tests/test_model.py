@@ -403,6 +403,21 @@ class TestSerialization:
         assert loaded.partition == env.partition
         assert loaded.p == env.p and loaded.seed == env.seed
 
+    def test_negative_seed_and_nan_p_round_trip(self, tmp_path):
+        # Header counts are plain digits, but p and seed keep float/int: a
+        # negative seed and a hand-built fixture's p = nan are written as such.
+        drawn = sample_environment(ModelParams(mu=0.1, lam=0.5, p=0.3, r_plus=0.6,
+                                               n=3), seed=-3)
+        fixture = Environment(theta=np.eye(2, dtype=np.uint8),
+                              partition=build_partition(2, 0.5))
+        for env, first in ((drawn, "3 2 0.3 -3\n"), (fixture, "2 1 nan 0\n")):
+            path = tmp_path / "env.txt"
+            save_environment(env, path)
+            assert path.read_text().startswith(first)
+            loaded = load_environment(path)
+            assert np.array_equal(loaded.theta, env.theta)
+            assert loaded.seed == env.seed and np.isnan(loaded.p) == np.isnan(env.p)
+
     def test_environment_file_bytes_match_reference(self, tmp_path):
         for n, p, seed in [(1, 1.0, 0), (3, 0.0, 1), (12, 0.3, 17), (200, 0.5, 2)]:
             env = sample_environment(ModelParams(mu=0.1, lam=0.5, p=p, r_plus=0.6,
@@ -533,7 +548,8 @@ class TestSerialization:
     @pytest.mark.parametrize("header", ["t,i,x", "# n=2", "# n=2 t_len=x",
                                         "# n=2 t_len", "# n=0 t_len=3",
                                         "# n=0_2 t_len=3", "# n=2 t_len=0_3",
-                                        "# n=2 t_len=3 n=2"])
+                                        "# n=2 t_len=3 n=2", "# n=+2 t_len=3",
+                                        "# n=2 t_len=+3"])
     def test_trajectory_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "traj.csv"
         path.write_text(f"{header}\nt,i,x\n1,1,1\n")
@@ -541,7 +557,8 @@ class TestSerialization:
             load_trajectory(path)
 
     @pytest.mark.parametrize("header", ["2 1 0.5", "a 1 0.5 0", "2 3 0.5 0",
-                                        "0_2 1 0.5 0", "2 1 0_5 0", "2 1 0.5 1_0"])
+                                        "0_2 1 0.5 0", "2 1 0_5 0", "2 1 0.5 1_0",
+                                        "+2 1 0.5 0", "2 +1 0.5 0"])
     def test_environment_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "env.txt"
         path.write_text(f"{header}\n01\n10\n")
