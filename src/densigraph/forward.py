@@ -1,11 +1,10 @@
 """Forward simulation of the conditional Markov chain.
 
-`simulate` runs the perfect sampler's copy rule (see `densigraph.perfect`),
-whose one-step law is the model's transition probability, forward from
-``x0`` placed at field time ``-burnin`` of the same site field, through the
-runner that `perfect_sample` starts from zeros.  Wherever the first column's
-backward walks regenerate within the burn-in (the default is the exact
-sampler's depth bound), the window is `perfect_sample`'s, bit for bit.
+`simulate` runs the copy rule of `densigraph.perfect`, whose one-step law is
+the model's transition probability, from ``x0`` at field time ``-burnin`` of
+the same site field through `perfect_sample`'s runner.  Wherever the first
+column's backward walks fix their value within the burn-in (by default the
+exact sampler's depth bound), the window is `perfect_sample`'s.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from .perfect import SiteField, _window, default_max_depth
 
 
 def default_burnin(lam: float) -> int:
-    """The exact sampler's depth bound, or 0 when every site regenerates."""
+    """The exact sampler's depth bound, or 0 when every site fixes its value
+    at its own draw."""
     return 0 if lam >= 1.0 else default_max_depth(lam)
 
 

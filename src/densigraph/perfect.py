@@ -11,24 +11,25 @@ directly if the edge theta[i, J-1] is present and J-1 is excitatory,
 flipped if J-1 is inhibitory, and 0 if the edge is absent (the copy rule).
 
 Following J backward in time defines a walk that regenerates after a
-geometric(lam) number of steps, so every site's value is a function of
+geometric(lam) number of steps; its value is fixed there, or earlier where it
+copies across an absent edge, so every site's value is a function of
 finitely many draws.  The copy rule run from any start placed before the
-deepest regeneration of the first window column's walks gives that column
+deepest fixing site of the first window column's walks gives that column
 exactly, and every later column is one copy step from the one before it
-(coupling from the past).  The window is a sample of the stationary chain
-with no burn-in error.
+(coupling from the past): a stationary sample with no burn-in error.
 
 One engine serves both samplers.  `_derive` turns a chunk of at most
 `DRAW_BUDGET` sites into what the copy rule reads at each -- the source J-1,
 the edge-and-copy mask and the gate -- comparing the top 53 bits of the
 site's word with integer cuts of lam and mu in place of u; `_copy_columns`
 builds a chunk's columns, each from the one before; `_window` runs them from
-a start at field time t0 <= 0, holding at most one chunk of rows before the
-window at times 1 .. t_len.  `perfect_sample` follows all the column-1 walks
-backward at once through the sources and copy flags alone, keeping only the
-live walks, until the last regenerates at depth D; then `_window` runs from
-zeros at time 1 - D, as `simulate` runs it from its own start.  Row keys are
-hashed once per field, when `SiteField` is made.
+a start at field time t0 <= 1, holding at most one chunk of rows before the
+window at times 1 .. t_len.  `perfect_sample` derives the columns at times
+1, 0, -1, .. in chunks and walks all of column 1 backward through them at
+once, unrolling the copy rule x = (x' & A) ^ G: each walk XORs the gates G
+it meets into its column-1 value and stops at its first A = 0 (a
+regeneration or an absent edge).  `_window` runs on from that column 1, so
+each depth site is derived once.  Row keys are hashed once per field.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _TWO53 = 2.0 ** 53
 
 
 class DepthExceededError(RuntimeError):
-    """A backward walk failed to regenerate within the depth bound."""
+    """A backward walk ran past the depth bound."""
 
 
 def default_max_depth(lam: float) -> int:
@@ -131,9 +132,10 @@ def _copy_columns(field: SiteField, env: Environment, x: np.ndarray,
 
 def _window(field: SiteField, env: Environment, x0, t0: int,
             t_len: int) -> np.ndarray:
-    """The copy rule from x0, the state at field time t0 <= 0, at times 1 ..
-    t_len, time-major: a view of the buffer, or a copy when its rows before
-    the window outnumber it.  Steps before those rows run in place."""
+    """The copy rule from x0, the state at field time t0 <= 1, at times 1 ..
+    t_len, time-major: a view of the buffer (whose first row is x0 at t0 = 1),
+    or a copy when its rows before the window outnumber it; steps before
+    those rows run in place."""
     span = max(1, DRAW_BUDGET // env.n)
     lead = min(-t0, span)  # steps before time 1 kept in the buffer
     x = np.empty((lead + 1 + t_len, env.n), dtype=np.uint8)
@@ -151,14 +153,13 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
                    seed: int) -> Trajectory:
     """Exact stationary sample on the window sites x times {1 .. t_len}.
 
-    The walk from each site (i, 1) takes d_i draws and regenerates at time
-    2 - d_i (`DepthExceededError` if one takes more than
-    `default_max_depth(lam)` draws, which a walk does with probability < 1e-12).
-    The sources and copy flags of the columns at times 1, 0, -1, .. are drawn
-    in chunks, and all n walks follow their sources through each chunk at
-    once until the last one regenerates, at depth D = max d_i.  `_window`
-    runs the copy rule from zeros at time 1 - D, giving column 1 exactly and
-    then 2 .. t_len, with at most one chunk of rows before the window.
+    The walk from each site (i, 1) fixes its value after d_i draws, at a
+    regeneration or an absent edge (`DepthExceededError` past
+    `default_max_depth(lam)` draws, which a regenerating walk passes with
+    probability < 1e-12).  All n walks fold the copy rule through chunks of
+    columns derived at times 1, 0, -1, .. until the last is fixed, at depth
+    D = max d_i; `_window` runs on from that exact column 1.  Memory: the live
+    walks, one derived chunk and one t_len x n buffer, no row before the window.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -173,20 +174,19 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     # so at most about one call in 16 needs a second one; each later chunk
     # doubles.
     want = ceil(log(16 * n) / -log1p(-lam)) if lam < 1.0 else 1
-    depth = 0
+    x1, depth = np.zeros(n, np.uint8), 0
     while site.size:  # depth columns walked so far, at times 2 - depth .. 1
         if depth == max_depth:
             raise DepthExceededError(f"no regeneration within {max_depth} steps "
                                      f"from {(int(start[0]), 1)}; check lam")
         c = min(want, span, max_depth - depth)
-        times = np.arange(1 - depth, 1 - depth - c, -1)[:, None]
-        src, copy, _ = field.draws(times)
-        for src_r, copy_r in zip(src, copy):
-            keep = copy_r[site]
+        times = np.arange(1 - depth, 1 - depth - c, -1)
+        for src_r, a_r, g_r in zip(*_derive(field, env, times)):
+            x1[start] ^= g_r[site]
+            keep = a_r[site].view(bool)  # a = 0: the walk's value is fixed
             site, start = src_r[site[keep]], start[keep]
             depth += 1
             if not site.size:
                 break
         want *= 2
-    x = _window(field, env, np.zeros(n, np.uint8), 1 - depth, t_len)
-    return _adopt(Trajectory, x=x.T)
+    return _adopt(Trajectory, x=_window(field, env, x1, 1, t_len).T)

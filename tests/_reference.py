@@ -97,6 +97,29 @@ def backward_walk_reference(seed, params, z, max_depth=None):
                              f"{z}; check lam")
 
 
+def fixing_walk_reference(seed, env, params, z, max_depth=None):
+    """Follow the labels j backward from site z = (i, t) until the walk's
+    value is fixed: at a site that regenerates, with value xi, or one that
+    copies across an absent edge theta[i, j-1] = 0, with value 0.  Returns
+    the visited sites, z first and the fixing site last, and z's value, that
+    value flipped once for each inhibitory source the walk followed.  Raises
+    `DepthExceededError` with `perfect_sample`'s message when no site within
+    `max_depth` draws fixes the value."""
+    if max_depth is None:
+        max_depth = default_max_depth(params.lam)
+    key, sp = field_key(seed), env.partition.size_plus
+    (i, t), path = z, []
+    for _ in range(max_depth):
+        path.append((i, t))
+        j, xi = site_draw_reference(key, params, i, t)
+        if j == 0 or not env.theta[i, j - 1]:
+            flips = sum(src >= sp for src, _ in path[1:])
+            return tuple(path), (xi if j == 0 else 0) ^ (flips % 2)
+        i, t = j - 1, t - 1
+    raise DepthExceededError(f"no regeneration within {max_depth} steps from "
+                             f"{z}; check lam")
+
+
 def _step_reference(env, params, key, x, t):
     """The column at time t from the column x at t - 1, one site at a time:
     a site takes xi if it regenerates (j == 0), else the value of site j-1

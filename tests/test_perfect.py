@@ -9,18 +9,18 @@ from scipy import stats
 
 from densigraph import (DepthExceededError, ModelParams, SiteField,
                         coalescence_probability, default_max_depth,
-                        exact_stationary, perfect_sample,
-                        transition_probabilities)
+                        exact_stationary, perfect_sample, simulate,
+                        transition_probabilities, zero_state)
 from densigraph import perfect
 from densigraph.model import InputError, sample_environment
 from densigraph.perfect import _derive
-from densigraph.rng import DRAW_BUDGET, absorb, absorb_array
+from densigraph.rng import DRAW_BUDGET, absorb, absorb_array, word_array
 
 from _reference import (COALESCENCE_Z, backward_walk_reference, binomial_sigma,
                         coalescence_probability_mc, column_indices,
                         empirical_distribution, field_key,
-                        perfect_sample_reference, site_draw_reference,
-                        trial_draws, tv_distance)
+                        fixing_walk_reference, perfect_sample_reference,
+                        site_draw_reference, trial_draws, tv_distance)
 
 
 def small_params(n=3, lam=0.5, mu=0.25, r_plus=2 / 3, p=0.5):
@@ -409,38 +409,83 @@ def first_chunk(n, lam):
     return ceil(log(16 * n) / -log1p(-lam))
 
 
-def column1_depth(seed, params):
-    """D, the draws of the deepest column-1 walk, from the walk reference."""
+def column1_depth(seed, env, params):
+    """D, the draws of the deepest column-1 walk until its value is fixed,
+    from the fixing walk reference."""
+    return max(len(fixing_walk_reference(seed, env, params, (i, 1))[0])
+               for i in range(params.n))
+
+
+def regeneration_depth(seed, params):
+    """The draws of the deepest column-1 walk until it regenerates."""
     return max(len(backward_walk_reference(seed, params, (i, 1))[0])
                for i in range(params.n))
 
 
 class TestDepthBoundary:
     # D past the first chunk (n=3, lam=0.05), and D ending exactly at the end
-    # of the first chunk (n=3, lam=0.5: six columns).
+    # of the first chunk (n=3, lam=0.5: six columns).  Walks past it need
+    # p=1, with no absent edge to fix a value early.  At p=0.7 the seed is
+    # one whose walks regenerate deeper than D, so the bound counts the draws
+    # until a value is fixed, not until a regeneration.
     @pytest.mark.parametrize("n, lam, where", [
         (3, 0.05, "past"), (3, 0.5, "past"), (3, 0.5, "at"), (30, 0.5, "at"),
     ])
     @pytest.mark.parametrize("t_len", [1, 5])
     def test_max_depth_is_exactly_the_deepest_walk(self, monkeypatch, n, lam,
                                                    where, t_len):
-        params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=n)
+        p = 1.0 if where == "past" else 0.7
+        params = ModelParams(mu=lam / 2, lam=lam, p=p, r_plus=0.6, n=n)
         env = sample_environment(params, seed=2)
         c0 = first_chunk(n, lam)
         seed, depth = next(
             (s, d) for s in range(5000)
-            for d in [column1_depth(s, params)]
-            if (d == c0 if where == "at" else d > c0 + 1))
+            for d in [column1_depth(s, env, params)]
+            if (d == c0 if where == "at" else d > c0 + 1)
+            and (p == 1.0 or regeneration_depth(s, params) > d))
         want = perfect_sample(env, params, t_len, seed=seed).x
         monkeypatch.setattr(perfect, "default_max_depth", lambda lam: depth)
         assert np.array_equal(perfect_sample(env, params, t_len, seed=seed).x, want)
         with pytest.raises(DepthExceededError) as walk_error:
             for i in range(n):
-                backward_walk_reference(seed, params, (i, 1), max_depth=depth - 1)
+                fixing_walk_reference(seed, env, params, (i, 1),
+                                      max_depth=depth - 1)
         monkeypatch.setattr(perfect, "default_max_depth", lambda lam: depth - 1)
         with pytest.raises(DepthExceededError) as error:
             perfect_sample(env, params, t_len, seed=seed)
         assert error.value.args == walk_error.value.args
+
+    def test_absent_edges_fix_every_walk_at_its_first_draw(self, monkeypatch):
+        # At p = 0 every copy reads an absent edge and takes the value 0, so
+        # a bound of one draw suffices although the walks regenerate deeper.
+        params = ModelParams(mu=0.25, lam=0.5, p=0.0, r_plus=0.5, n=20)
+        env = sample_environment(params, seed=1)
+        assert regeneration_depth(2, params) > 1
+        monkeypatch.setattr(perfect, "default_max_depth", lambda lam: 1)
+        traj = perfect_sample(env, params, 30, seed=2)
+        forward = simulate(env, params, zero_state(20), 30, burnin=40, seed=2)
+        assert np.array_equal(traj.x, forward.x)
+
+    @pytest.mark.parametrize("t_len", [1, 5])
+    def test_each_depth_column_is_hashed_once(self, monkeypatch, t_len):
+        # Column 1 is folded from the walks' one backward chunk, so only the
+        # window's later columns 2 .. t_len are hashed after it.
+        params = small_params()
+        env = sample_environment(params, seed=1)
+        c0 = first_chunk(3, params.lam)
+        seed = next(s for s in range(100) if column1_depth(s, env, params) < c0)
+        rows = []
+
+        def counting_word_array(keys, counter):
+            rows.append(len(counter))
+            return word_array(keys, counter)
+
+        monkeypatch.setattr(perfect, "word_array", counting_word_array)
+        traj = perfect_sample(env, params, t_len, seed=seed)
+        assert rows == ([c0] if t_len == 1 else [c0, t_len - 1])
+        monkeypatch.undo()
+        assert np.array_equal(traj.x, perfect_sample_reference(env, params, t_len,
+                                                               seed=seed))
 
 
 class TestColumnChunks:
@@ -448,9 +493,9 @@ class TestColumnChunks:
     N, T_LEN = 200, 400
 
     @classmethod
-    def params(cls, lam):
+    def params(cls, lam, p=0.5):
         assert cls.T_LEN - 1 > 2 * (DRAW_BUDGET // cls.N)
-        return ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.6, n=cls.N)
+        return ModelParams(mu=lam / 2, lam=lam, p=p, r_plus=0.6, n=cls.N)
 
     @pytest.mark.parametrize("lam", [0.2, 0.9])
     def test_matches_per_column_reference(self, lam):
@@ -485,18 +530,20 @@ class TestColumnChunks:
 
     @classmethod
     @cache
-    def deep_seed(cls, lam):
-        """The first seed whose column-1 walks outrun the first backward chunk."""
-        params, span = cls.params(lam), DRAW_BUDGET // cls.N
-        return next(s for s in range(200)
-                    if column1_depth(s, params) > min(span, first_chunk(cls.N, lam)))
+    def deep_case(cls, lam):
+        """At p=1, where no absent edge fixes a walk's value early, the
+        parameters, the environment and the first seed whose column-1 walks
+        outrun the first backward chunk."""
+        params, span = cls.params(lam, p=1.0), DRAW_BUDGET // cls.N
+        env = sample_environment(params, seed=13)
+        seed = next(s for s in range(200) if column1_depth(s, env, params)
+                    > min(span, first_chunk(cls.N, lam)))
+        return params, env, seed
 
     @pytest.mark.parametrize("lam", [0.02, 0.05])
     @pytest.mark.parametrize("t_len", [1, 2, 70])
     def test_multi_chunk_walks_match_reference(self, lam, t_len):
-        params = self.params(lam)
-        env = sample_environment(params, seed=13)
-        seed = self.deep_seed(lam)
+        params, env, seed = self.deep_case(lam)
         traj = perfect_sample(env, params, t_len, seed=seed)
         expect = perfect_sample_reference(env, params, t_len, seed=seed)
         assert np.array_equal(traj.x, expect)
@@ -504,13 +551,13 @@ class TestColumnChunks:
 
 @pytest.mark.parametrize("t_len", [1, 50])
 def test_peak_memory_does_not_grow_with_stored_columns(t_len):
-    # At n=500, lam=0.002 the column-1 walks run 3,000-6,000 columns deep.
-    # Keeping only the live walks, one draw chunk and at most one chunk of
-    # rows before the window, the traced peak read 1.02 MB at t_len=1 and
-    # 1.05 MB at t_len=50 on every seed 0-39.  A (D + t_len)-row buffer read
-    # 1.50-2.51 MB; keeping each backward column's source, mask and gate
-    # read 4.1-25 MB.
-    params = ModelParams(mu=0.001, lam=0.002, p=0.5, r_plus=0.5, n=500)
+    # At n=500, lam=0.002 and p=1 (no absent edge fixes a value early) the
+    # column-1 walks run 3,000-6,000 columns deep.  Keeping only the live
+    # walks, one derived chunk and no row before the window, the traced peak
+    # read 0.99 MB at t_len=1 and at t_len=50 on every seed 0-39.  A
+    # (D + t_len)-row buffer read 1.50-2.51 MB; keeping each backward
+    # column's source, mask and gate read 4.1-25 MB.
+    params = ModelParams(mu=0.001, lam=0.002, p=1.0, r_plus=0.5, n=500)
     env = sample_environment(params, seed=1)
     for seed in range(5):
         tracemalloc.start()
