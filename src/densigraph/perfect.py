@@ -21,15 +21,12 @@ exactly, and every later column is one copy step from the one before it
 One engine serves both samplers.  `_derive` turns a chunk of at most
 `DRAW_BUDGET` sites into what the copy rule reads at each -- the source J-1,
 the edge-and-copy mask and the gate -- comparing the top 53 bits of the
-site's word with integer cuts of lam and mu in place of u; `_copy_columns`
-builds a chunk's columns, each from the one before; `_window` runs them from
-a start at field time t0 <= 1, holding at most one chunk of rows before the
-window at times 1 .. t_len.  `perfect_sample` derives the columns at times
-1, 0, -1, .. in chunks and walks all of column 1 backward through them at
-once, unrolling the copy rule x = (x' & A) ^ G: each walk XORs the gates G
-it meets into its column-1 value and stops at its first A = 0 (a
-regeneration or an absent edge).  `_window` runs on from that column 1, so
-each depth site is derived once.  Row keys are hashed once per field.
+site's word with integer cuts of lam and mu in place of u.  `_column_one`
+walks all of column 1 back through chunks derived at times 1, 0, -1, ..,
+unrolling the copy rule x = (x' & A) ^ G; the samplers differ only in its
+floor (`perfect_sample` raises, `simulate` reads x0).  `_window` runs on from
+that column 1 by `_copy_columns`, so each site is derived once and no row
+precedes the window.  Row keys are hashed once per field.
 """
 
 from __future__ import annotations
@@ -73,12 +70,12 @@ class SiteField:
     is hashed once, into ``row_keys``; `draws` reads the field.
     """
 
-    __slots__ = ("key", "row_keys", "lam", "n", "scale", "lam_cut", "mu_cut")
+    __slots__ = ("key", "row_keys", "lam", "p", "n", "scale", "lam_cut", "mu_cut")
 
     def __init__(self, seed: int, params: ModelParams):
         self.key = derive_key(seed, _FIELD_LABEL)
         self.row_keys = absorb_array(self.key, np.arange(params.n))
-        self.lam, self.n = params.lam, params.n
+        self.lam, self.p, self.n = params.lam, params.p, params.n
         # Spreads the copy branch [lam, 1) over labels 1..n; lam = 1 never copies.
         self.scale = self.n / (1.0 - self.lam) if self.lam < 1.0 else 0.0
         # u = k 2^-53 is exact for the top 53 bits k of a word, so for a real
@@ -130,23 +127,47 @@ def _copy_columns(field: SiteField, env: Environment, x: np.ndarray,
         cur ^= g_r
 
 
-def _window(field: SiteField, env: Environment, x0, t0: int,
-            t_len: int) -> np.ndarray:
-    """The copy rule from x0, the state at field time t0 <= 1, at times 1 ..
-    t_len, time-major: a view of the buffer (whose first row is x0 at t0 = 1),
-    or a copy when its rows before the window outnumber it; steps before
-    those rows run in place."""
+def _column_one(field: SiteField, env: Environment, depth: int,
+                x0=None) -> np.ndarray:
+    """Column 1 folded along its n backward walks: each XORs the gates G it
+    meets into its value and stops at its first A = 0.  A walk live after
+    ``depth`` draws reads the uint8 state ``x0`` at its site at time
+    1 - depth, or without x0 raises `DepthExceededError`."""
+    n, lam, p = env.n, field.lam, field.p
+    site = start = np.arange(n)  # each live walk's site, and the i it started from
+    span = max(1, DRAW_BUDGET // n)
+    # The first chunk is the smallest c with n q^c <= 1/16 at the walks' continue
+    # rate q = (1 - lam) p, so about one call in 16 needs more; each doubles.
+    want = (ceil(min(log(16 * n) / -(log1p(-lam) + log(p)), span))
+            if (1.0 - lam) * p > 0.0 else 1)
+    x1, walked = np.zeros(n, np.uint8), 0
+    while site.size and walked < depth:  # walked columns, times 2 - walked .. 1
+        c = min(want, span, depth - walked)
+        times = np.arange(1 - walked, 1 - walked - c, -1)
+        for src_r, a_r, g_r in zip(*_derive(field, env, times)):
+            x1[start] ^= g_r[site]
+            keep = a_r[site].view(bool)  # a = 0: the walk's value is fixed
+            site, start = src_r[site[keep]], start[keep]
+            walked += 1
+            if not site.size:
+                break
+        want *= 2
+    if x0 is not None:
+        x1[start] ^= x0[site]  # the walks live at the floor
+    elif site.size:
+        raise DepthExceededError(f"no regeneration within {depth} steps "
+                                 f"from {(int(start[0]), 1)}; check lam")
+    return x1
+
+
+def _window(field: SiteField, env: Environment, x1, t_len: int) -> np.ndarray:
+    """The time-major t_len x n window, the copy rule run from x1 at time 1."""
     span = max(1, DRAW_BUDGET // env.n)
-    lead = min(-t0, span)  # steps before time 1 kept in the buffer
-    x = np.empty((lead + 1 + t_len, env.n), dtype=np.uint8)
-    x[0] = x0
-    for t in range(t0, -lead, span):
-        steps = min(span, -lead - t)
-        _copy_columns(field, env, x[:steps + 1], t)
-        x[0] = x[steps]
-    for lo in range(0, lead + t_len, span):  # row lo holds time lo - lead
-        _copy_columns(field, env, x[lo:lo + span + 1], lo - lead)
-    return x[lead + 1:].copy() if lead + 1 > t_len else x[lead + 1:]
+    x = np.empty((t_len, env.n), dtype=np.uint8)
+    x[0] = x1
+    for lo in range(0, t_len - 1, span):  # row lo holds time lo + 1
+        _copy_columns(field, env, x[lo:lo + span + 1], lo + 1)
+    return x
 
 
 def perfect_sample(env: Environment, params: ModelParams, t_len: int,
@@ -156,10 +177,9 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
     The walk from each site (i, 1) fixes its value after d_i draws, at a
     regeneration or an absent edge (`DepthExceededError` past
     `default_max_depth(lam)` draws, which a regenerating walk passes with
-    probability < 1e-12).  All n walks fold the copy rule through chunks of
-    columns derived at times 1, 0, -1, .. until the last is fixed, at depth
-    D = max d_i; `_window` runs on from that exact column 1.  Memory: the live
-    walks, one derived chunk and one t_len x n buffer, no row before the window.
+    probability < 1e-12).  `_column_one` folds all n walks until the last is
+    fixed, at depth D = max d_i, and `_window` runs on from that column 1.
+    Memory: the live walks, one derived chunk and one t_len x n buffer.
     """
     if t_len < 1:
         raise InputError(f"t_len must be >= 1, got {t_len}")
@@ -167,26 +187,5 @@ def perfect_sample(env: Environment, params: ModelParams, t_len: int,
 
     _check_n(env, params)
     field = SiteField(seed, params)
-    n, lam = env.n, field.lam
-    site = start = np.arange(n)  # each live walk's site, and the i it started from
-    span = max(1, DRAW_BUDGET // n)
-    # The first backward chunk is the smallest c with n (1 - lam)^c <= 1/16,
-    # so at most about one call in 16 needs a second one; each later chunk
-    # doubles.
-    want = ceil(log(16 * n) / -log1p(-lam)) if lam < 1.0 else 1
-    x1, depth = np.zeros(n, np.uint8), 0
-    while site.size:  # depth columns walked so far, at times 2 - depth .. 1
-        if depth == max_depth:
-            raise DepthExceededError(f"no regeneration within {max_depth} steps "
-                                     f"from {(int(start[0]), 1)}; check lam")
-        c = min(want, span, max_depth - depth)
-        times = np.arange(1 - depth, 1 - depth - c, -1)
-        for src_r, a_r, g_r in zip(*_derive(field, env, times)):
-            x1[start] ^= g_r[site]
-            keep = a_r[site].view(bool)  # a = 0: the walk's value is fixed
-            site, start = src_r[site[keep]], start[keep]
-            depth += 1
-            if not site.size:
-                break
-        want *= 2
-    return _adopt(Trajectory, x=_window(field, env, x1, 1, t_len).T)
+    x1 = _column_one(field, env, max_depth)
+    return _adopt(Trajectory, x=_window(field, env, x1, t_len).T)

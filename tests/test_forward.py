@@ -12,7 +12,7 @@ from densigraph.rng import DRAW_BUDGET
 from densigraph.model import Environment, InputError
 
 from _reference import (backward_walk_reference, binomial_sigma, column_indices,
-                        simulate_reference)
+                        fixing_walk_reference, simulate_reference)
 
 
 def fixture_env_params():
@@ -169,22 +169,22 @@ def _block(n):
 
 
 # (n, lam, r_plus, t_len, burnin), with t_len and burnin given as (k, d) for
-# k * block + d.  The runner advances any burn-in beyond its last block in
-# place, a block at a time, then runs the last min(burnin, block) burn-in
-# steps and the window as one pass; each case puts that pass's length
-# min(burnin, block) + t_len on or next to a block boundary.
+# k * block + d.  Column 1 is folded backward along its walks in chunks of at
+# most a block, down to the floor at time -burnin at the deepest, and the
+# window runs on from time 1 a block of columns at a time; each case puts
+# t_len, and a nonzero burn-in, on or next to a block boundary.
 KERNEL_CASES = [
     (1, 0.5, 0.5, (0, 1), (0, 0)),       # size_plus == n
     (1, 0.05, 0.3, (1, 1), (0, 0)),
     (3, 0.05, 0.99, (1, -1), (0, 0)),    # size_plus == n
     (3, 0.5, 0.5, (1, 0), (0, 0)),
     (50, 0.05, 0.3, (1, -1), (0, 2)),
-    (50, 0.2, 0.6, (1, 3), (1, -3)),     # burn-in ends inside block 1
+    (50, 0.2, 0.6, (1, 3), (1, -3)),     # burn-in just short of a block
     (500, 0.05, 0.5, (0, 1), (0, 0)),
     (500, 0.5, 0.5, (1, -1), (0, 0)),
     (500, 0.5, 0.7, (1, 0), (0, 0)),
     (500, 0.9, 0.3, (1, 1), (0, 0)),
-    (500, 0.5, 0.5, (2, 1), (1, 4)),     # 4 burn-in steps run in place first
+    (500, 0.5, 0.5, (2, 1), (1, 4)),     # burn-in just past a block
 ]
 
 
@@ -209,12 +209,15 @@ def test_matches_float64_per_step_reference(n, lam, r_plus, t_len, burnin):
 
 
 @pytest.mark.parametrize("t_len", [3, 65])
-@pytest.mark.parametrize("burnin", [100, 131])
+@pytest.mark.parametrize("burnin", [64, 100, 129, 131])
 def test_start_carries_across_burnin_blocks(burnin, t_len):
-    # At n = 500 a block is 65 steps, so the burn-in spans two or more blocks.
-    # At p = 1 every copy keeps or flips its source, so the complement of x0
-    # flips each cell whose walk outlives the burn-in, as most do at lam = 0.01:
-    # a burn-in advanced by the wrong number of steps shows.
+    # At n = 500 a fold chunk is 65 columns, so the floor at time -burnin,
+    # burnin + 1 draws back from column 1, falls exactly at the end of the
+    # first (64) or second (129) chunk, where depth - walked meets the chunk
+    # size, or inside the second or third (100, 131).  At p = 1 every copy
+    # keeps or flips its source, so the complement of x0 flips each cell
+    # whose walk outlives the burn-in, as most do at lam = 0.01: a floor
+    # placed at the wrong depth shows.
     env, params, got = _check_against_reference(500, 0.004, 0.01, 0.5, t_len,
                                                 burnin, p=1.0)
     flipped = (np.arange(500) % 3 != 1).astype(np.uint8)
@@ -223,8 +226,9 @@ def test_start_carries_across_burnin_blocks(burnin, t_len):
 
 
 def test_burnin_advances_a_block_per_engine_call(monkeypatch):
-    # The default burn-in at lam = 0.01 is 2,750 steps.  At n = 500 it must
-    # advance a 65-step block per engine call, not t_len steps per call.
+    # The default burn-in at lam = 0.01 is 2,750 steps.  At n = 500 the
+    # column-1 fold derives up to a 65-column block per engine call, not
+    # t_len columns per call, and stops where its last walk is fixed.
     n, lam, t_len = 500, 0.01, 1
     params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
     env = sample_environment(params, seed=n)
@@ -236,13 +240,32 @@ def test_burnin_advances_a_block_per_engine_call(monkeypatch):
     assert len(calls) <= ceil((burnin + t_len) / _block(n)) + 1 == 44
 
 
+def test_burnin_is_walked_not_stepped(monkeypatch):
+    # Column 1 is folded along its backward walks, which at lam = 0.01 and
+    # p = 0.5 are all fixed within a few dozen draws; the fold derives at
+    # most one chunk past the deepest, not all 2,750 burn-in columns.
+    n, lam = 500, 0.01
+    params = ModelParams(mu=0.4 * lam, lam=lam, p=0.5, r_plus=0.5, n=n)
+    env = sample_environment(params, seed=n)
+    burnin, times = default_burnin(lam), []
+    derive = perfect._derive
+    monkeypatch.setattr(perfect, "_derive",
+                        lambda *args: times.extend(args[2].tolist()) or derive(*args))
+    simulate(env, params, zero_state(n), 50, burnin=burnin, seed=0)
+    depth = max(len(fixing_walk_reference(0, env, params, (i, 1))[0])
+                for i in range(n))
+    walked = [t for t in times if t <= 0]
+    assert burnin == 2750 and depth < burnin
+    assert len(walked) <= depth - 1 + _block(n)
+
+
 @pytest.mark.parametrize("n, mu, lam, t_len, burnin", [
     (50, 0.3, 1.0, 700, 3),      # lam = 1: every site regenerates
     (50, 0.0, 0.5, 700, 3),      # mu = 0: regenerations are silent
     (50, 0.3, 0.3, 700, 3),      # mu = lam: regenerations fire
     (7, 0.0, 0.05, 40, 0),       # long walks, no burn-in
-    (5, 0.1, 0.2, 1, 9),         # one-row window, copied from the pass
-    (50, 0.1, 0.25, 30, 100),    # burn-in longer than the window, copied
+    (5, 0.1, 0.2, 1, 9),         # one-row window
+    (50, 0.1, 0.25, 30, 100),    # burn-in longer than the window
 ])
 def test_matches_scalar_reference_at_corners(n, mu, lam, t_len, burnin):
     _check_against_reference(n, mu, lam, 0.5, t_len, burnin)

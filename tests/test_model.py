@@ -383,13 +383,22 @@ class TestTimeMajorStorage:
     @pytest.mark.parametrize("lam, t_len", [(0.05, 1), (0.05, 3), (0.5, 40),
                                             (0.5, 200)])
     def test_perfect_sample_pins_at_most_twice_its_window(self, lam, t_len):
-        # Where the depth D exceeds t_len, the window is copied out of the buffer.
+        # Column 1 is folded along its walks, so whatever the depth D the
+        # buffer holds the window's rows alone.
         params = ModelParams(mu=lam / 2, lam=lam, p=0.5, r_plus=0.5, n=30)
         env = sample_environment(params, seed=4)
         traj = perfect_sample(env, params, t_len, seed=6)
-        assert owner(traj.x).nbytes <= 2 * 30 * t_len
+        assert owner(traj.x).nbytes == 30 * t_len
         assert np.array_equal(traj.x, perfect_sample(env, params, t_len + 5,
                                                      seed=6).x[:, :t_len])
+
+    def test_simulate_owns_exactly_its_window(self):
+        # The burn-in is walked backward from column 1, not stepped into the
+        # buffer, so no row before the window is kept.
+        params = ModelParams(mu=0.25, lam=0.5, p=0.5, r_plus=0.5, n=30)
+        env = sample_environment(params, seed=4)
+        traj = simulate(env, params, zero_state(30), 200, burnin=40, seed=6)
+        assert owner(traj.x).nbytes == 30 * 200
 
 
 class TestSerialization:

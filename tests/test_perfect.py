@@ -403,10 +403,11 @@ class TestPerfectSample:
         assert np.array_equal(traj.x, perfect_sample(env, params, 40, seed=seed).x)
 
 
-def first_chunk(n, lam):
-    """Backward columns in `perfect_sample`'s first chunk, before the
-    `DRAW_BUDGET` cap: the smallest c with n (1 - lam)^c <= 1/16."""
-    return ceil(log(16 * n) / -log1p(-lam))
+def first_chunk(n, lam, p):
+    """Backward columns in the column-1 fold's first chunk, before the
+    `DRAW_BUDGET` cap: the smallest c with n q^c <= 1/16 for the walks'
+    continue rate q = (1 - lam) p > 0."""
+    return ceil(log(16 * n) / -(log1p(-lam) + log(p)))
 
 
 def column1_depth(seed, env, params):
@@ -424,10 +425,10 @@ def regeneration_depth(seed, params):
 
 class TestDepthBoundary:
     # D past the first chunk (n=3, lam=0.05), and D ending exactly at the end
-    # of the first chunk (n=3, lam=0.5: six columns).  Walks past it need
-    # p=1, with no absent edge to fix a value early.  At p=0.7 the seed is
-    # one whose walks regenerate deeper than D, so the bound counts the draws
-    # until a value is fixed, not until a regeneration.
+    # of the first chunk (n=3, lam=0.5, p=0.7: four columns).  Walks past it
+    # need p=1, with no absent edge to fix a value early.  At p=0.7 the seed
+    # is one whose walks regenerate deeper than D, so the bound counts the
+    # draws until a value is fixed, not until a regeneration.
     @pytest.mark.parametrize("n, lam, where", [
         (3, 0.05, "past"), (3, 0.5, "past"), (3, 0.5, "at"), (30, 0.5, "at"),
     ])
@@ -437,7 +438,7 @@ class TestDepthBoundary:
         p = 1.0 if where == "past" else 0.7
         params = ModelParams(mu=lam / 2, lam=lam, p=p, r_plus=0.6, n=n)
         env = sample_environment(params, seed=2)
-        c0 = first_chunk(n, lam)
+        c0 = first_chunk(n, lam, p)
         seed, depth = next(
             (s, d) for s in range(5000)
             for d in [column1_depth(s, env, params)]
@@ -472,7 +473,7 @@ class TestDepthBoundary:
         # window's later columns 2 .. t_len are hashed after it.
         params = small_params()
         env = sample_environment(params, seed=1)
-        c0 = first_chunk(3, params.lam)
+        c0 = first_chunk(3, params.lam, params.p)
         seed = next(s for s in range(100) if column1_depth(s, env, params) < c0)
         rows = []
 
@@ -537,7 +538,7 @@ class TestColumnChunks:
         params, span = cls.params(lam, p=1.0), DRAW_BUDGET // cls.N
         env = sample_environment(params, seed=13)
         seed = next(s for s in range(200) if column1_depth(s, env, params)
-                    > min(span, first_chunk(cls.N, lam)))
+                    > min(span, first_chunk(cls.N, lam, params.p)))
         return params, env, seed
 
     @pytest.mark.parametrize("lam", [0.02, 0.05])
