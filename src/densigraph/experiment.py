@@ -18,6 +18,7 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import select
 import signal
 import traceback
 from dataclasses import dataclass
@@ -240,6 +241,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Execute the full batch; rows in (varied value, T, replica) order.
 
     ``jobs`` counts the processes that compute replicas, this one included.
+    They claim (value, replica) tasks from one queue in task order, so a
+    worker that finishes early claims more; see `_run_tasks` for what is
+    left unbalanced and what each extra worker costs.
     """
     if jobs < 1:
         raise InputError(f"jobs must be >= 1, got {jobs}")
@@ -254,22 +258,40 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
 def _run_tasks(config: ExperimentConfig, tasks: list, jobs: int) -> list:
     """The rows of each task, in task order.
 
-    Worker k computes tasks k, k + jobs, ...  Worker 0 is this process; the
-    others are forked children that each send their rows back as one pickle
-    over a pipe.  Every child is reaped before this returns or raises.
+    One job runs the tasks in a plain loop.  Otherwise this process, worker
+    0, fills a queue of claims (`_fill_queue`) and forks workers 1, 2, ...
+    Every worker claims a run of consecutive tasks (one task, up to
+    PIPE_BUF // 4 tasks), computes them and claims again until the queue is
+    empty, so a worker on a slower core simply claims fewer.  Each child sends its (task index, rows) pairs back as one
+    pickle over a pipe, and the rows land at their task index, so the bytes
+    are the same at any ``jobs``.  A child that raises or dies makes this
+    process stop claiming, and its error is raised once the other children
+    have drained the queue.  Every child is reaped before this returns or
+    raises.
+
+    Claims follow task order, not cost: in a ``vary=n`` sweep the largest n
+    is claimed last and can run alone while the other workers idle.  Each
+    extra worker also costs a fork, a late start and its first-touch page
+    faults, so a sweep of a few short replicas can run slower at two jobs
+    than at one.
     """
     jobs = min(jobs, len(tasks))
-    if jobs > 1 and not hasattr(os, "fork"):
+    if jobs == 1:
+        return [_replica_rows(config, *task) for task in tasks]
+    if not hasattr(os, "fork"):
         raise InputError(f"jobs={jobs} needs os.fork, which this platform lacks")
+    queue, per_claim = _fill_queue(len(tasks))
     children = []   # (pid, read end of its pipe) of workers 1, 2, ...
     finished = False
     try:
-        for k in range(1, jobs):
-            _fork_worker(children, config, tasks[k::jobs])
-        shares = [[_replica_rows(config, *task) for task in tasks[::jobs]]]
+        for _ in range(1, jobs):
+            _fork_worker(children, config, tasks, queue, per_claim)
+        claimed = _drain(config, tasks, queue, per_claim,
+                         tuple(pipe for _, pipe in children))
         replies = [pipe.read() for _, pipe in children]
         finished = True
     finally:
+        os.close(queue)
         statuses = []
         for pid, pipe in children:
             pipe.close()
@@ -285,16 +307,63 @@ def _run_tasks(config: ExperimentConfig, tasks: list, jobs: int) -> list:
         if not ok:
             raise value from RuntimeError(f"traceback in worker {k}:\n"
                                           f"{child_traceback}")
-        shares.append(value)
+        claimed += value
     chunks = [None] * len(tasks)
-    for k, share in enumerate(shares):
-        chunks[k::jobs] = share
+    for index, rows in claimed:
+        chunks[index] = rows
     return chunks
 
 
-def _fork_worker(children: list, config: ExperimentConfig, tasks: list) -> None:
-    """Fork a child that computes ``tasks`` and writes their rows to a pipe;
-    append (pid, the pipe's read end) to ``children``."""
+_RECORD_BYTES = 4   # one claim: the index of its first task, little-endian
+
+
+def _fill_queue(n_tasks: int) -> tuple[int, int]:
+    """A pipe holding every claim of ``n_tasks`` tasks, and the tasks per claim.
+
+    Returns the pipe's read end and ``per_claim``: claim j is one record, the
+    task index j * per_claim, and claims tasks [j * per_claim,
+    (j + 1) * per_claim).  Nothing reads the pipe before the first fork, so the
+    whole queue is one write of at most PIPE_BUF bytes, which any pipe
+    holds; beyond PIPE_BUF // _RECORD_BYTES tasks a claim holds several.
+    The write end is closed here, before any fork, so a read of the empty
+    queue returns EOF and never blocks.  The records are all in the pipe
+    before the first read, so each read of _RECORD_BYTES returns one whole
+    claim, and a worker that dies holds no lock the others wait on.
+    """
+    per_claim = -(-n_tasks // (select.PIPE_BUF // _RECORD_BYTES))
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"".join(start.to_bytes(_RECORD_BYTES, "little")
+                                    for start in range(0, n_tasks, per_claim)))
+    except BaseException:
+        os.close(read_fd)
+        raise
+    finally:
+        os.close(write_fd)
+    return read_fd, per_claim
+
+
+def _drain(config: ExperimentConfig, tasks: list, queue: int, per_claim: int,
+           stop_on: tuple = ()) -> list:
+    """(task index, rows) of every task this worker claims, until the queue
+    is empty or one of the pipes in ``stop_on`` can be read.  A child's
+    reply pipe becomes readable only once the child has found the queue
+    empty or has failed, so in either case a further claim is of no use."""
+    claimed = []
+    while not (stop_on and select.select(stop_on, [], [], 0)[0]):
+        record = os.read(queue, _RECORD_BYTES)
+        if not record:
+            break
+        start = int.from_bytes(record, "little")
+        claimed += [(index, _replica_rows(config, *tasks[index]))
+                    for index in range(start, min(start + per_claim, len(tasks)))]
+    return claimed
+
+
+def _fork_worker(children: list, config: ExperimentConfig, tasks: list,
+                 queue: int, per_claim: int) -> None:
+    """Fork a child that claims ``tasks`` from the queue and writes their
+    rows to a pipe; append (pid, the pipe's read end) to ``children``."""
     read_fd, write_fd = os.pipe()
     # SIGINT waits until the parent has recorded the child and the child is
     # inside the try that ends it, so an interrupt can neither lose a child
@@ -307,24 +376,25 @@ def _fork_worker(children: list, config: ExperimentConfig, tasks: list) -> None:
             os.close(read_fd)
             raise
         if pid == 0:
-            _child_main(config, tasks, read_fd, write_fd, mask)
+            _child_main(config, tasks, queue, per_claim, read_fd, write_fd, mask)
         children.append((pid, os.fdopen(read_fd, "rb")))
     finally:
         os.close(write_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _child_main(config, tasks, read_fd, write_fd, mask):
-    """A forked worker's whole life.  It ends only through os._exit, so it
-    never flushes the parent's stdio buffers nor runs its finally blocks or
-    atexit handlers; exit code 0 means the whole reply was written."""
+def _child_main(config, tasks, queue, per_claim, read_fd, write_fd, mask):
+    """A forked worker's whole life: drain the queue, then reply once.  It
+    ends only through os._exit, so it never flushes the parent's stdio
+    buffers nor runs its finally blocks or atexit handlers; exit code 0
+    means the whole reply was written.  A worker whose task raises claims
+    no more."""
     code = 1
     try:
         os.close(read_fd)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         try:
-            reply = pickle.dumps(
-                (True, [_replica_rows(config, *task) for task in tasks], ""))
+            reply = pickle.dumps((True, _drain(config, tasks, queue, per_claim), ""))
         except Exception as exc:
             reply = pickle.dumps((False, exc, traceback.format_exc()))
         with open(write_fd, "wb") as pipe:

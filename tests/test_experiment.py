@@ -1,5 +1,7 @@
 import os
+import select
 import signal
+import time
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -283,17 +285,30 @@ def deadline(seconds):
 
 
 class TestRunnerFailures:
-    """Worker k of a two-job run computes replicas k, k + 2, ..., so replica 0
-    runs in this process and replica 1 in the forked child."""
+    """Workers claim tasks from one shared queue, so no task belongs to a
+    fixed worker.  A case that needs a task to fail in worker 1, the forked
+    child, makes the tasks of worker 0, this process, wait until the child
+    has claimed one."""
 
     @pytest.fixture
-    def fail_replica(self, monkeypatch):
-        def install(replica, fail):
-            real = experiment._replica_rows
+    def fail_in(self, monkeypatch, tmp_path):
+        """Run ``fail`` in place of each task that ``worker`` (0 or 1)
+        claims; the other worker's tasks run as usual.  Each call replaces
+        the previous one."""
+        parent, real = os.getpid(), experiment._replica_rows
+        child_claimed = tmp_path / "child-claimed"
 
+        def install(worker, fail):
             def replica_rows(config, value_idx, r):
-                if r == replica:
+                if os.getpid() != parent:
+                    child_claimed.touch()
+                    if worker == 1:
+                        fail()
+                elif worker == 0:
                     fail()
+                else:
+                    while not child_claimed.exists():
+                        time.sleep(0.01)
                 return real(config, value_idx, r)
 
             monkeypatch.setattr(experiment, "_replica_rows", replica_rows)
@@ -303,23 +318,23 @@ class TestRunnerFailures:
     def bad_input():
         raise InputError("replica rejected its input")
 
-    @pytest.mark.parametrize("replica", [0, 1])
-    def test_input_error_is_the_same_at_two_jobs(self, fail_replica, replica):
-        fail_replica(replica, self.bad_input)
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_input_error_is_the_same_at_two_jobs(self, fail_in, worker):
         raised = {}
         for jobs in (1, 2):
+            fail_in(0 if jobs == 1 else worker, self.bad_input)
             with deadline(60), pytest.raises(InputError) as info:
                 run_experiment(small_config(), jobs=jobs)
             raised[jobs] = (type(info.value), str(info.value))
             assert_no_child_left()
         assert raised[2] == raised[1] == (InputError, "replica rejected its input")
 
-    def test_cli_exits_2_on_a_worker_input_error(self, fail_replica, tmp_path,
-                                                 capsys):
-        fail_replica(1, self.bad_input)
-        code = main(["run", "--set", "n=8", "--set", "t_grid=100",
-                     "--set", "n_simu=4", "--jobs", "2",
-                     "--out", str(tmp_path / "x.csv")])
+    def test_cli_exits_2_on_a_worker_input_error(self, fail_in, tmp_path, capsys):
+        fail_in(1, self.bad_input)
+        with deadline(60):
+            code = main(["run", "--set", "n=8", "--set", "t_grid=100",
+                         "--set", "n_simu=4", "--jobs", "2",
+                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -327,23 +342,124 @@ class TestRunnerFailures:
         assert not (tmp_path / "x.csv").exists()
         assert_no_child_left()
 
+    def test_a_failed_child_stops_the_parents_claims(self, monkeypatch):
+        parent, real, computed = os.getpid(), experiment._replica_rows, []
+
+        def replica_rows(config, value_idx, r):
+            if os.getpid() != parent:
+                self.bad_input()
+            time.sleep(0.02)
+            computed.append(r)
+            return real(config, value_idx, r)
+
+        monkeypatch.setattr(experiment, "_replica_rows", replica_rows)
+        with deadline(60), pytest.raises(InputError,
+                                         match="^replica rejected its input$"):
+            run_experiment(small_config(["n_simu=40"]), jobs=2)
+        assert_no_child_left()
+        # The child fails at its first claim; the parent claims 39 tasks
+        # if it drains the queue, 20 with fixed shares.
+        assert len(computed) < 10
+
     @pytest.mark.parametrize("end, status", [
         (lambda: os._exit(7), "exit code 7"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
     ])
-    def test_child_that_dies_without_a_result(self, fail_replica, end, status):
-        parent = os.getpid()
-
-        def die():
-            if os.getpid() == parent:
-                raise AssertionError("replica 1 ran in the parent")
-            end()
-
-        fail_replica(1, die)
+    def test_child_that_dies_without_a_result(self, fail_in, end, status):
+        fail_in(1, end)
         with deadline(60), pytest.raises(
                 RuntimeError, match=f"^worker 1 ended without a result: {status}$"):
             run_experiment(small_config(), jobs=2)
         assert_no_child_left()
+
+
+class TestSharedQueue:
+    @pytest.fixture
+    def task_pids(self, monkeypatch, tmp_path):
+        """(install, read): ``install(n_simu, slow)`` logs the pid that
+        computes each task and sleeps 0.5 s before each task index in
+        ``slow``; ``read()`` returns {task index: pid}."""
+        log, real = tmp_path / "pids", experiment._replica_rows
+
+        def install(n_simu, slow=()):
+            def replica_rows(config, value_idx, r):
+                index = value_idx * n_simu + r
+                if index in slow:
+                    time.sleep(0.5)
+                with open(log, "a", encoding="ascii") as fh:   # one append per task
+                    fh.write(f"{index} {os.getpid()}\n")
+                return real(config, value_idx, r)
+
+            monkeypatch.setattr(experiment, "_replica_rows", replica_rows)
+
+        def read():
+            pairs = [tuple(map(int, line.split()))
+                     for line in log.read_text().splitlines()]
+            pid = dict(pairs)
+            assert len(pid) == len(pairs), "a task was computed twice"
+            return pid
+        return install, read
+
+    def test_a_slow_task_leaves_every_other_task_to_the_other_worker(
+            self, task_pids):
+        config = small_config(["t_grid=100", "n_simu=6"])
+        serial = rows_to_csv(run_experiment(config, jobs=1))
+        install, read = task_pids
+        install(6, slow={0})
+        with deadline(60):
+            assert rows_to_csv(run_experiment(config, jobs=2)) == serial
+        assert_no_child_left()
+        pid = read()
+        assert sorted(pid) == list(range(6))
+        others = {pid[r] for r in range(1, 6)}
+        assert len(others) == 1 and pid[0] not in others
+
+    def test_more_workers_than_cores_compute_each_task_once(self, task_pids):
+        config = small_config(["t_grid=100", "n_simu=30"])
+        serial = rows_to_csv(run_experiment(config, jobs=1))
+        install, read = task_pids
+        install(30)
+        with deadline(60):
+            assert rows_to_csv(run_experiment(config, jobs=6)) == serial
+        assert_no_child_left()
+        assert sorted(read()) == list(range(30))
+
+    @pytest.mark.parametrize("n_tasks, pipe_buf, per_claim", [
+        (1, 4096, 1), (1024, 4096, 1), (1025, 4096, 2), (5000, 4096, 5),
+        (10, 12, 4),
+    ])
+    def test_the_queue_fits_in_one_pipe_write(self, monkeypatch, n_tasks,
+                                              pipe_buf, per_claim):
+        monkeypatch.setattr(select, "PIPE_BUF", pipe_buf)
+        queue, got = experiment._fill_queue(n_tasks)
+        try:
+            data = b""
+            while chunk := os.read(queue, 1 << 16):
+                data += chunk
+        finally:
+            os.close(queue)
+        assert got == per_claim and len(data) <= pipe_buf
+        size = experiment._RECORD_BYTES
+        assert [int.from_bytes(data[k:k + size], "little")
+                for k in range(0, len(data), size)] == list(range(0, n_tasks, per_claim))
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_claims_of_several_tasks_give_the_serial_bytes(self, monkeypatch,
+                                                           task_pids, jobs):
+        config = small_config(["t_grid=100", "n_simu=5", "vary=p",
+                               "vary_values=0.3,0.7"])
+        serial = rows_to_csv(run_experiment(config, jobs=1))
+        # A cap of 3 records: the 10 tasks go in claims of 4, 4 and 2.
+        monkeypatch.setattr(select, "PIPE_BUF", 3 * experiment._RECORD_BYTES)
+        install, read = task_pids
+        install(5)
+        with deadline(60):
+            assert rows_to_csv(run_experiment(config, jobs=jobs)) == serial
+        assert_no_child_left()
+        pid = read()
+        assert sorted(pid) == list(range(10))
+        assert all(len({pid[i] for i in claim}) == 1
+                   for claim in (range(0, 4), range(4, 8), range(8, 10)))
 
 
 def moments(m_hat, v_hat, w_hat):
